@@ -1,7 +1,10 @@
 """Command-line surface: one process per invocation, all state on disk.
 
 Exit status: 0 on success, 1 on semantic errors (bad formula or model,
-failed fuzz run), 2 on usage errors.  ``--agents`` fixes the grand
+input nested too deeply for the recursion limit, failed fuzz run), 2 on
+usage errors, 3 on an internal error (a produced model failed its own
+model-checking certificate).  Errors print one ``error:`` or
+``internal error:`` line on standard error.  ``--agents`` fixes the grand
 coalition and its canonical order for everything downstream; when omitted,
 it defaults to the agents the formula mentions.
 """
@@ -13,7 +16,8 @@ import json
 import sys
 
 from . import model as model_io
-from .decide import ClauseOutcome, decide_sat, decide_valid
+from .decide import (CertificationError, ClauseOutcome, decide_sat,
+                     decide_valid)
 from .formula import (AgentUniverse, ParseError, agents_mentioned,
                       modal_depth, parse, pretty)
 from .model import ModelError, classify, load_fixture
@@ -334,6 +338,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return 1
+    except CertificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -14,8 +14,10 @@ The recursion strictly lowers modal depth, so it terminates.
 
 When a clause fails both cases, a refuting pointed model is assembled by
 grafting: one fresh hub state plays a one-round game whose outcomes are the
-entry states of disjointly renamed sub-models, one per pair (i, j) with
-A_i a subset of B_j, each satisfying phi_NI0 & phi_i & ~psi_j.  At the hub,
+entry states of sub-models, one per pair (i, j) with A_i a subset of B_j,
+each satisfying phi_NI0 & phi_i & ~psi_j.  The sub-models get disjoint
+state names but share action names: availability is derived per state, so
+a shared name never links two states.  At the hub,
 profile sigma^i has all agents play the action alpha_i and leads to the
 sub-models for row i; for every pair with A_i not a subset of B_j, a spoiler
 profile lambda^(i,j) differs from sigma^i only in that a witness agent from
@@ -27,6 +29,7 @@ confirms falsity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .formula import (AgentUniverse, And, Atom, Can, Formula, Neg,
                       atoms_of, canonical_key, coalitions_of, conj, implies,
@@ -73,7 +76,6 @@ class GameForm:
     hub: str
     targets: tuple[str, ...]
     actions: tuple[str, ...]
-    av0: tuple[JointAction, ...]
     out0: dict[JointAction, frozenset[str]]
 
 
@@ -151,21 +153,21 @@ def _decide_propositional(f: Formula, universe: AgentUniverse) -> Verdict:
     for mask in range(1 << len(names)):
         assignment = {name: bool(mask >> k & 1) for k, name in enumerate(names)}
         if not _eval_prop(f, assignment):
-            pm = _assignment_model(assignment, universe)
+            pm = _dead_end(universe, names, {n for n in names if assignment[n]})
             return Verdict(False, pm, trace)
     return Verdict(True, None, trace)
 
 
-def _assignment_model(assignment: dict[str, bool],
-                      universe: AgentUniverse) -> PointedModel:
-    """A single dead-end state realizing the assignment (no coalition has an
-    available joint action there)."""
+def _dead_end(universe: AgentUniverse, atoms: Iterable[str],
+              label: Iterable[str]) -> PointedModel:
+    """A single dead-end state ``s0`` with the given label (no coalition has
+    an available joint action there)."""
     model = GameModel(
         universe=universe,
-        atoms=tuple(sorted(assignment)),
+        atoms=tuple(atoms),
         actions=("idle",),
         states=("s0",),
-        label={"s0": frozenset(n for n, v in assignment.items() if v)},
+        label={"s0": frozenset(label)},
         out_ag={},
     )
     return PointedModel(model, "s0")
@@ -213,12 +215,7 @@ def build_countermodel(sf: StandardFormula, universe: AgentUniverse) -> PointedM
     Precondition: gamma is not a tautology and every pair reduction fails;
     raises ValueError otherwise.
     """
-    memo: dict[str, Verdict] = {}
-    outcome = _decide_clause(sf, universe, memo)
-    if outcome.case != "refuted":
-        raise ValueError("clause is valid; no countermodel exists")
-    pm, _ = _graft_countermodel(sf, universe, memo)
-    return pm
+    return build_countermodel_detailed(sf, universe)[0]
 
 
 def build_countermodel_detailed(sf: StandardFormula,
@@ -247,15 +244,7 @@ def _graft_countermodel(sf: StandardFormula, universe: AgentUniverse,
     hub_label = _falsifying_label(sf)
 
     if not sf.ni:
-        model = GameModel(
-            universe=universe,
-            atoms=_clause_atoms(sf),
-            actions=("idle",),
-            states=("s0",),
-            label={"s0": hub_label},
-            out_ag={},
-        )
-        pm = PointedModel(model, "s0")
+        pm = _dead_end(universe, _clause_atoms(sf), hub_label)
         _certify_clause(pm, sf)
         return pm, None
 
@@ -304,7 +293,6 @@ def _graft_countermodel(sf: StandardFormula, universe: AgentUniverse,
         hub="s0",
         targets=targets,
         actions=hub_actions,
-        av0=tuple(hub_rows),
         out0=dict(hub_rows),
     )
 
@@ -316,7 +304,7 @@ def _graft_countermodel(sf: StandardFormula, universe: AgentUniverse,
         ("s0", profile): ts for profile, ts in hub_rows.items()}
     for m in renamed:
         atoms.extend(a for a in m.atoms if a not in atoms)
-        actions.extend(m.actions)
+        actions.extend(x for x in m.actions if x not in actions)
         states.extend(m.states)
         label.update(m.label)
         out_ag.update(m.out_ag)

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import AgentUniverse, Coalition
 
@@ -108,6 +108,15 @@ def oplus(family: Sequence[tuple[Coalition, Iterable[JointAction]]]) -> set[Join
     return out
 
 
+def product_profiles(agents: Sequence[str],
+                     choices: Sequence[Sequence[str]]) -> Iterator[JointAction]:
+    """Every profile giving ``agents[k]`` one action of ``choices[k]``, in
+    binary-counter order: the first agent is the most significant digit and
+    each agent's actions rank by their order in its choices."""
+    for combo in itertools.product(*choices):
+        yield JointAction.of(dict(zip(agents, combo)))
+
+
 @dataclass(frozen=True, eq=True)
 class GameModel:
     """An explicit game arena over a fixed agent universe.
@@ -171,6 +180,21 @@ class GameModel:
             rows[s].append((profile, targets))
         return {s: tuple(pairs) for s, pairs in rows.items()}
 
+    @cached_property
+    def _canonical_rows(self) -> dict[str, tuple[tuple[JointAction, frozenset[str]], ...]]:
+        rank = {x: k for k, x in enumerate(self.actions)}
+        agents = self.universe.agents
+        return {s: tuple(sorted(rows, key=lambda r: [rank[r[0].get(a)] for a in agents]))
+                for s, rows in self._rows_by_state.items()}
+
+    def canonical_rows(self, state: str) -> tuple[tuple[JointAction, frozenset[str]], ...]:
+        """The stored (profile, outcomes) rows of ``state`` in the
+        binary-counter order of ``profiles()``.  Serialization and
+        classification read this order, so their cost grows with the stored
+        rows, not with the profile space."""
+        self._check_state(state)
+        return self._canonical_rows[state]
+
     def _check_state(self, state: str) -> None:
         if state not in self._rows_by_state:
             raise ModelError(f"unknown state {state!r}")
@@ -216,11 +240,9 @@ class GameModel:
             raise ValueError("coalition universe differs from the model's")
 
     def profiles(self) -> tuple[JointAction, ...]:
-        """All grand-coalition profiles, in binary-counter order: agents in
-        canonical order, actions in declaration order."""
+        """All grand-coalition profiles, in binary-counter order."""
         agents = self.universe.agents
-        return tuple(JointAction.of(dict(zip(agents, combo)))
-                     for combo in itertools.product(self.actions, repeat=len(agents)))
+        return tuple(product_profiles(agents, [self.actions] * len(agents)))
 
     def with_atoms(self, extra: Iterable[str]) -> GameModel:
         """The same model with additional declared atoms (labels unchanged)."""
@@ -246,7 +268,10 @@ class ModelClassification:
     determinism_witness: tuple[str, JointAction] | None
     universe: AgentUniverse
 
-    is_gcgm: bool = True
+    @property
+    def is_gcgm(self) -> bool:
+        """Always true: every ``GameModel`` is a GCGM by construction."""
+        return True
 
     @property
     def is_cgm(self) -> bool:
@@ -276,38 +301,25 @@ def classify(model: GameModel) -> ModelClassification:
     """
     universe = model.universe
     agents = universe.agents
+    rank = {x: k for k, x in enumerate(model.actions)}
 
-    serial_witness = None
-    for s in model.states:
-        if not model.available_profiles(s):
-            serial_witness = s
-            break
+    serial_witness = next((s for s in model.states if not model.canonical_rows(s)),
+                          None)
 
     independence_witness = None
     for s in model.states:
         avail = model.available_profiles(s)
-        per_agent: list[list[str]] = []
-        for a in agents:
-            acts = [x for x in model.actions
-                    if any(p.get(a) == x for p in avail)]
-            per_agent.append(acts)
-        for combo in itertools.product(*per_agent):
-            candidate = JointAction.of(dict(zip(agents, combo)))
-            if candidate not in avail:
-                independence_witness = (s, candidate)
-                break
-        if independence_witness:
+        per_agent = [sorted({p.get(a) for p in avail}, key=rank.__getitem__)
+                     for a in agents]
+        missing = next((p for p in product_profiles(agents, per_agent)
+                        if p not in avail), None)
+        if missing is not None:
+            independence_witness = (s, missing)
             break
 
-    determinism_witness = None
-    for s in model.states:
-        avail = model.available_profiles(s)
-        for profile in model.profiles():
-            if profile in avail and len(model.outcome(s, profile)) != 1:
-                determinism_witness = (s, profile)
-                break
-        if determinism_witness:
-            break
+    determinism_witness = next(((s, p) for s in model.states
+                                for p, targets in model.canonical_rows(s)
+                                if len(targets) != 1), None)
 
     return ModelClassification(
         serial=serial_witness is None,
@@ -322,25 +334,20 @@ def classify(model: GameModel) -> ModelClassification:
 
 # -- combination and generation -------------------------------------------------
 
-def rename_disjoint(models: Sequence[GameModel],
-                    prefix: Callable[[int], str] | None = None) -> list[GameModel]:
-    """Isomorphic copies with states and actions prefixed (``g0.`` by default,
-    then ``g1.`` and so on) so that all state sets and all action sets are
-    pairwise disjoint."""
-    if prefix is None:
-        prefix = lambda i: f"g{i}."
+def rename_disjoint(models: Sequence[GameModel]) -> list[GameModel]:
+    """Isomorphic copies with states prefixed ``g0.``, ``g1.`` and so on, so
+    that all state sets are pairwise disjoint.  Action names are kept:
+    availability is derived per state, so copies can share them."""
     out = []
     for i, m in enumerate(models):
-        p = prefix(i)
+        p = f"g{i}."
         out.append(GameModel(
             universe=m.universe,
             atoms=m.atoms,
-            actions=tuple(p + x for x in m.actions),
+            actions=m.actions,
             states=tuple(p + s for s in m.states),
             label={p + s: marks for s, marks in m.label.items()},
-            out_ag={(p + s,
-                     JointAction(tuple((a, p + x) for a, x in profile.items))):
-                    frozenset(p + t for t in targets)
+            out_ag={(p + s, profile): frozenset(p + t for t in targets)
                     for (s, profile), targets in m.out_ag.items()},
         ))
     return out
@@ -361,10 +368,10 @@ def random_model(universe: AgentUniverse, n_states: int, n_actions: int,
     actions = tuple(f"x{i}" for i in range(n_actions))
     label = {s: frozenset(a for a in atoms if rng.random() < 0.5) for s in states}
     agents = universe.agents
+    profiles = tuple(product_profiles(agents, [actions] * len(agents)))
     out_ag = {}
     for s in states:
-        for combo in itertools.product(actions, repeat=len(agents)):
-            profile = JointAction.of(dict(zip(agents, combo)))
+        for profile in profiles:
             targets = frozenset(t for t in states if rng.random() < density)
             if targets:
                 out_ag[(s, profile)] = targets
@@ -389,8 +396,7 @@ def random_cgm(universe: AgentUniverse, n_states: int, n_actions: int,
         for _ in agents:
             size = rng.randint(1, n_actions)
             per_agent.append(rng.sample(actions, size))
-        for combo in itertools.product(*per_agent):
-            profile = JointAction.of(dict(zip(agents, combo)))
+        for profile in product_profiles(agents, per_agent):
             out_ag[(s, profile)] = frozenset((rng.choice(states),))
     return GameModel(universe, tuple(atoms), actions, states, label, out_ag)
 
@@ -398,18 +404,11 @@ def random_cgm(universe: AgentUniverse, n_states: int, n_actions: int,
 # -- serialization ---------------------------------------------------------------
 
 def to_json_dict(model: GameModel) -> dict:
-    """Plain-data form of a model; deterministic given the model."""
-    transitions = []
-    for s in model.states:
-        stored = {p: ts for (s2, p), ts in model.out_ag.items() if s2 == s}
-        for profile in model.profiles():
-            if profile in stored:
-                targets = stored[profile]
-                transitions.append({
-                    "from": s,
-                    "profile": profile.mapping,
-                    "to": [t for t in model.states if t in targets],
-                })
+    """Plain-data form of a model; deterministic given the model.
+
+    Transitions follow states in declaration order, then ``canonical_rows``;
+    outcome lists follow state declaration order."""
+    index = {s: k for k, s in enumerate(model.states)}
     return {
         "agents": list(model.universe.agents),
         "atoms": list(model.atoms),
@@ -418,31 +417,57 @@ def to_json_dict(model: GameModel) -> dict:
                     "label": [a for a in model.atoms
                               if a in model.label.get(s, frozenset())]}
                    for s in model.states],
-        "transitions": transitions,
+        "transitions": [{"from": s,
+                         "profile": profile.mapping,
+                         "to": sorted(targets, key=index.__getitem__)}
+                        for s in model.states
+                        for profile, targets in model.canonical_rows(s)],
     }
 
 
+def _strings(value, path: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelError(f"{path} must be a list of strings")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ModelError(f"{path} must be a string")
+    return value
+
+
 def from_json_dict(data: dict) -> GameModel:
+    """Model from plain data; a ModelError names the offending JSON path."""
     try:
-        universe = AgentUniverse(tuple(data["agents"]))
-        atoms = tuple(data["atoms"])
-        actions = tuple(data["actions"])
-        states = tuple(entry["name"] for entry in data["states"])
-        label = {entry["name"]: frozenset(entry.get("label", []))
-                 for entry in data["states"]}
+        universe = AgentUniverse(tuple(_strings(data["agents"], "agents")))
+        atoms = tuple(_strings(data["atoms"], "atoms"))
+        actions = tuple(_strings(data["actions"], "actions"))
+        states: list[str] = []
+        label: dict[str, frozenset[str]] = {}
+        for k, entry in enumerate(data["states"]):
+            name = _string(entry["name"], f"states[{k}].name")
+            states.append(name)
+            label[name] = frozenset(_strings(entry.get("label", []),
+                                             f"states[{k}].label"))
         out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
-        for tr in data.get("transitions", []):
-            profile = JointAction.of(dict(tr["profile"]))
-            key = (tr["from"], profile)
+        for k, tr in enumerate(data.get("transitions", [])):
+            where = f"transitions[{k}]"
+            mapping = tr["profile"]
+            if not isinstance(mapping, dict) or not all(
+                    isinstance(a, str) and isinstance(x, str) for a, x in mapping.items()):
+                raise ModelError(f"{where}.profile must be an object of strings")
+            profile = JointAction.of(mapping)
+            key = (_string(tr["from"], f"{where}.from"), profile)
             if key in out_ag:
-                raise ModelError(f"duplicate transition entry for {tr['from']!r}, "
+                raise ModelError(f"duplicate transition entry for {key[0]!r}, "
                                  f"{profile.render(universe)}")
-            out_ag[key] = frozenset(tr["to"])
+            out_ag[key] = frozenset(_strings(tr["to"], f"{where}.to"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelError):
             raise
         raise ModelError(f"malformed model document: {exc}") from exc
-    return GameModel(universe, atoms, actions, states, label, out_ag)
+    return GameModel(universe, atoms, actions, tuple(states), label, out_ag)
 
 
 def dumps(model: GameModel) -> str:

@@ -11,14 +11,13 @@ property.  Everything is reproducible from the configured seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Formula, Neg, bot,
                       implies, lor, pretty)
-from .model import (GameModel, JointAction, classify, dumps, random_cgm,
-                    random_model)
+from .model import (GameModel, JointAction, classify, dumps, product_profiles,
+                    random_cgm, random_model)
 from .semantics import PointedModel, eval_all
 from .decide import decide_valid
 
@@ -65,8 +64,7 @@ def enumerate_models(bounds: SearchBounds):
         states = tuple(f"s{i}" for i in range(n_states))
         for n_actions in range(1, bounds.max_actions + 1):
             actions = tuple(f"x{i}" for i in range(n_actions))
-            profiles = tuple(JointAction.of(dict(zip(agents, combo)))
-                             for combo in itertools.product(actions, repeat=len(agents)))
+            profiles = tuple(product_profiles(agents, [actions] * len(agents)))
             edge_slots = [(s, p, t) for s in states for p in profiles for t in states]
             label_slots = [(s, a) for s in states for a in bounds.atoms]
             for out_mask in range(1 << len(edge_slots)):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mcl.decide
 from mcl.cli import main
 
 
@@ -105,6 +106,23 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "classify", "--model", str(missing))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("valid", "--agents", "a", "--formula", "<{a}>" * 3000 + "p"),
+    ("parse", "--agents", "a", "--formula", "~" * 3000 + "p"),
+])
+def test_deep_nesting_exits_1_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_certification_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(mcl.decide, "holds", lambda pm, f: True)
+    code, _, err = run(capsys, "valid", "--agents", "a,b", "--formula", "<{a}>p")
+    assert code == 3
+    assert err.startswith("internal error:") and len(err.splitlines()) == 1
 
 
 def test_usage_errors_exit_2(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mcl import (TOP, And, Atom, Can, Neg, build_countermodel,
+from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, build_countermodel,
                  build_countermodel_detailed, classify, decide_sat,
                  decide_valid, dumps, holds, hub_facts, implies, loads, lor,
                  modal_depth, parse, to_standard_conjunction)
@@ -159,12 +159,12 @@ def test_graft_for_the_worked_example(ab):
 
 def test_game_form_outcome_conditions(ab):
     sf = _refuted_clause("(<{a}>p & <{b}>q) -> <{a,b}>(p & q)", ab)
-    _, form = build_countermodel_detailed(sf, ab)
-    assert set(form.av0) == set(form.out0)
+    pm, form = build_countermodel_detailed(sf, ab)
+    assert pm.model.available_profiles(form.hub) == set(form.out0)
     for profile, targets in form.out0.items():
         assert targets, "available hub profiles must lead somewhere"
         assert targets <= frozenset(form.targets)
-    spoilers = [p for p in form.av0
+    spoilers = [p for p in form.out0
                 if any(x.startswith("beta") for x in dict(p.items).values())]
     for p in spoilers:
         assert form.out0[p] == frozenset(form.targets)
@@ -185,7 +185,7 @@ def test_hub_claim_unique_extension(ab):
         for i, (coalition, _) in enumerate(sf.ni):
             if not coalition.members:
                 continue
-            sigma = [p for p in form.av0
+            sigma = [p for p in form.out0
                      if all(x == f"alpha{i}" for x in dict(p.items).values())]
             assert len(sigma) == 1
             projected = sigma[0].restrict(coalition)
@@ -222,6 +222,19 @@ def test_deeper_nesting_terminates(ab):
     # the coalition-monotone variant with {a} inside {a,b} is an axiom instance
     assert decide_valid(
         parse("<{a}><{b}><{a,b}>p -> <{a,b}><{b}><{a,b}>p", ab), ab).valid
+
+
+def test_nested_graft_keeps_the_action_count():
+    # grafted sub-models share action names, so nesting the independence
+    # instance under ~<{c}>~ adds states and rows but no actions
+    u = AgentUniverse.of("a", "b", "c")
+    counts = set()
+    for k in range(4):
+        text = "~<{c}>~" * k + "((<{a}>p & <{b}>q) -> <{a,b}>(p & q))"
+        v = valid(text, u)
+        assert not v.valid
+        counts.add(len(v.countermodel.model.actions))
+    assert len(counts) == 1
 
 
 def test_repeated_subgoals_share_work(ab):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_rename_disjoint_prefixes(one_mask):
     copies = rename_disjoint([one_mask, one_mask])
     assert "g0.s0" in copies[0].states and "g1.s0" in copies[1].states
     assert set(copies[0].states).isdisjoint(copies[1].states)
-    assert set(copies[0].actions).isdisjoint(copies[1].actions)
+    assert copies[0].actions == copies[1].actions == one_mask.actions
     # isomorphic: same classification and labels carried over
     assert classify(copies[0]).serial_witness == "g0.s1"
     assert copies[0].label["g0.s'1"] == one_mask.label["s'1"]
@@ -196,6 +197,26 @@ def test_load_rejects_malformed_documents(ab):
         from_json_dict({"agents": ["a"]})
 
 
+@pytest.mark.parametrize("path, edit", [
+    ("agents", lambda d: d.update(agents="ab")),
+    ("atoms", lambda d: d.update(atoms="pq")),
+    ("actions", lambda d: d.update(actions="x0")),
+    ("states[1].name", lambda d: d["states"][1].update(name=1)),
+    ("states[0].label", lambda d: d["states"][0].update(label="p")),
+    ("transitions[0].from", lambda d: d["transitions"][0].update(**{"from": ["s0"]})),
+    ("transitions[1].profile",
+     lambda d: d["transitions"][1].update(profile=[["a", "x0"], ["b", "x0"]])),
+    ("transitions[1].profile",
+     lambda d: d["transitions"][1].update(profile={"a": 0, "b": "x0"})),
+    ("transitions[2].to", lambda d: d["transitions"][2].update(to="s0")),
+])
+def test_load_requires_json_types(ab, path, edit):
+    doc = to_json_dict(random_model(ab, 3, 1, 1.0, seed=0))
+    edit(doc)
+    with pytest.raises(ModelError, match=re.escape(path) + " must be"):
+        from_json_dict(doc)
+
+
 def test_duplicate_transition_rows_rejected(ab):
     doc = to_json_dict(random_model(ab, 1, 1, 1.0, seed=0))
     doc["transitions"] = doc["transitions"] * 2
@@ -206,6 +227,62 @@ def test_duplicate_transition_rows_rejected(ab):
 def test_unknown_fixture():
     with pytest.raises(ModelError):
         load_fixture("three_masks")
+
+
+# -- canonical row order against a walk over every profile -------------------------------------
+
+def _reference_models():
+    for agents in (("a",), ("a", "b"), ("b", "a", "c")):
+        u = AgentUniverse(agents)
+        for seed in range(12):
+            yield random_model(u, 1 + seed % 3, 1 + seed % 2,
+                               (0.0, 0.3, 0.6, 1.0)[seed % 4], seed=seed)
+            yield random_cgm(u, 1 + seed % 3, 1 + seed % 2, seed=seed)
+
+
+def _walked_transitions(m):
+    return [{"from": s, "profile": p.mapping,
+             "to": [t for t in m.states if t in m.outcome(s, p)]}
+            for s in m.states for p in m.profiles() if m.outcome(s, p)]
+
+
+def _walked_witnesses(m):
+    serial = next((s for s in m.states
+                   if not any(m.outcome(s, p) for p in m.profiles())), None)
+    independence = None
+    for s in m.states:
+        avail = [p for p in m.profiles() if m.outcome(s, p)]
+        played = {(a, p.get(a)) for p in avail for a in m.universe.agents}
+        independence = next(((s, p) for p in m.profiles()
+                             if not m.outcome(s, p)
+                             and all(item in played for item in p.items)), None)
+        if independence:
+            break
+    determinism = next(((s, p) for s in m.states for p in m.profiles()
+                        if len(m.outcome(s, p)) > 1), None)
+    return serial, independence, determinism
+
+
+def test_canonical_rows_match_a_profile_walk():
+    for m in _reference_models():
+        assert to_json_dict(m)["transitions"] == _walked_transitions(m)
+        c = classify(m)
+        assert (c.serial_witness, c.independence_witness,
+                c.determinism_witness) == _walked_witnesses(m)
+
+
+def test_dumps_and_classify_do_not_walk_profiles(monkeypatch, one_mask):
+    models = [one_mask, *_reference_models()]
+    expected = [(dumps(m), classify(m)) for m in models]
+
+    def walk(*args):
+        raise AssertionError("profile space walked")
+
+    monkeypatch.setattr(GameModel, "profiles", walk)
+    for m, (text, summary) in zip(models, expected):
+        fresh = loads(text)
+        assert dumps(fresh) == text
+        assert classify(fresh) == summary
 
 
 # -- derivation identities on sampled models -------------------------------------------------
