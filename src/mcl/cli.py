@@ -4,7 +4,8 @@ Exit status: 0 on success, 1 on semantic errors (bad formula or model,
 input nested too deeply for the recursion limit, failed fuzz run), 2 on
 usage errors, 3 on an internal error (a produced model failed its own
 model-checking certificate).  Errors print one ``error:`` or
-``internal error:`` line on standard error.  ``--agents`` fixes the grand
+``internal error:`` line on standard error; the internal-error line ends
+with the input formula, whitespace collapsed.  ``--agents`` fixes the grand
 coalition and its canonical order for everything downstream; when omitted,
 it defaults to the agents the formula mentions.
 """
@@ -37,10 +38,12 @@ def _universe(text: str | None, formula_text: str | None = None) -> AgentUnivers
 
 
 def _read_formula(args) -> str:
-    if args.formula is not None:
-        return args.formula
-    with open(args.formula_file, encoding="utf-8") as fh:
-        return fh.read()
+    """The formula text; read from ``--formula-file`` into ``args.formula``
+    so that an error report can quote it."""
+    if args.formula is None:
+        with open(args.formula_file, encoding="utf-8") as fh:
+            args.formula = fh.read()
+    return args.formula
 
 
 def _load_model(path: str):
@@ -342,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input nests too deeply", file=sys.stderr)
         return 1
     except CertificationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        text = getattr(args, "formula", None)
+        where = "" if text is None else f" (formula: {' '.join(text.split())})"
+        print(f"internal error: {exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -7,14 +7,18 @@ phi").  False, disjunction, implication, equivalence, the dual ``[A]``,
 constructors below lower them to the core immediately, so semantic code
 only ever sees the five core forms.
 
-Formulas are immutable values; they hash and compare structurally and are
-safe to share across threads.
+Formulas are immutable values and safe to share across threads.  Each node
+computes its hash once, when it is built, from its class name, its own
+fields and its children's stored hashes, so hashing a formula (every dict
+or set lookup) costs O(1) at any depth.  Equality stays structural.  A
+pickled or copied formula is rebuilt through its constructor, so it never
+carries a hash computed under another ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 
@@ -133,30 +137,60 @@ class Coalition:
 
 
 class Formula:
-    """Base class of the five core constructors."""
+    """Base class of the five core constructors.
+
+    Each subclass sets ``_hash`` in ``__post_init__`` and names
+    ``__hash__ = Formula.__hash__`` in its own body, which keeps the frozen
+    dataclass from generating a recursive one.
+    """
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, fld.name) for fld in fields(self))
 
 
 @dataclass(frozen=True)
 class Top(Formula):
-    pass
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Top",)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Atom", self.name)))
+
+    __hash__ = Formula.__hash__
+
 
 @dataclass(frozen=True)
 class Neg(Formula):
     child: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Neg", self.child._hash)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash(("And", self.left._hash, self.right._hash)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -165,6 +199,12 @@ class Can(Formula):
 
     coalition: Coalition
     child: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash(("Can", self.coalition, self.child._hash)))
+
+    __hash__ = Formula.__hash__
 
 
 TOP = Top()

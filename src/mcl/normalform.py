@@ -21,6 +21,7 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Coalition, Formula,
                       Neg, Top, bot, conj, disj, implies, modal_depth, pretty)
@@ -148,24 +149,20 @@ def _prune(clauses: list[list[_Lit]], target_depth: int) -> list[list[_Lit]]:
     """Drop duplicate and absorbed clauses, but never let the maximal clause
     depth fall below ``target_depth`` (equivalence would survive, depth
     preservation would not)."""
-    unique: list[list[_Lit]] = []
-    keys: list[frozenset[_Lit]] = []
+    unique: dict[frozenset[_Lit], list[_Lit]] = {}
     for clause in clauses:
-        key = frozenset(clause)
-        if key not in keys:
-            keys.append(key)
-            unique.append(clause)
-    kept = [True] * len(unique)
-    for i, ki in enumerate(keys):
-        if not kept[i]:
-            continue
-        for j, kj in enumerate(keys):
-            if i != j and kept[j] and ki < kj:
-                kept[j] = False
-    survivors = [c for c, k in zip(unique, kept) if k]
+        unique.setdefault(frozenset(clause), clause)
+    # A clause survives when no other clause is a strict subset of it.  Such
+    # a subset is strictly smaller, and since < is transitive some minimal
+    # one survives, so each clause is tested against the smaller survivors.
+    minimal: set[frozenset[_Lit]] = set()
+    for _, group in groupby(sorted(unique, key=len), key=len):
+        minimal.update([key for key in group
+                        if not any(small < key for small in minimal)])
+    survivors = [c for key, c in unique.items() if key in minimal]
     if max((_clause_depth(c) for c in survivors), default=0) < target_depth:
-        for c, k in zip(unique, kept):
-            if not k and _clause_depth(c) == target_depth:
+        for c in unique.values():  # no survivor is this deep
+            if _clause_depth(c) == target_depth:
                 survivors.append(c)
                 break
     return survivors
@@ -177,10 +174,8 @@ def _clause_to_standard(clause: list[_Lit], universe: AgentUniverse) -> Standard
     pi: list[tuple[Coalition, Formula]] = []
     for positive, leaf in clause:
         if isinstance(leaf, Can):
-            pair = (leaf.coalition, leaf.child)
-            side = pi if positive else ni
-            if pair not in side:
-                side.append(pair)
+            # literals are already unique, so each pair occurs once per side
+            (pi if positive else ni).append((leaf.coalition, leaf.child))
         elif positive:
             gamma.append(leaf)
         else:

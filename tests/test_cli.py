@@ -123,6 +123,7 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "valid", "--agents", "a,b", "--formula", "<{a}>p")
     assert code == 3
     assert err.startswith("internal error:") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith("(formula: <{a}>p)")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, ParseError, bot,
-                 box, canonical_key, dia, dual, implies, lor, modal_depth,
+import mcl
+from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, ParseError, Top,
+                 bot, box, canonical_key, dia, dual, implies, lor, modal_depth,
                  parse, pretty)
 
 
@@ -141,3 +146,66 @@ def _formulas():
 @given(_formulas())
 def test_parse_print_round_trip(f):
     assert parse(pretty(f), _U) == f
+
+
+# -- stored hashes ---------------------------------------------------------------
+
+def _rebuild(f):
+    """An independent copy of ``f``, built node by node."""
+    if isinstance(f, Neg):
+        return Neg(_rebuild(f.child))
+    if isinstance(f, And):
+        return And(_rebuild(f.left), _rebuild(f.right))
+    if isinstance(f, Can):
+        return Can(_U.coalition(*f.coalition.members), _rebuild(f.child))
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    return Top()
+
+
+@given(_formulas())
+def test_equal_formulas_hash_equal(f):
+    assert hash(parse(pretty(f), _U)) == hash(f)
+    copy = _rebuild(f)
+    assert copy == f and hash(copy) == hash(f)
+    assert {copy: 1}[f] == 1
+
+
+def test_deep_negation_chain_hashes_without_recursion():
+    f = Atom("p")
+    for _ in range(10_000):
+        f = Neg(f)
+    assert hash(f) == hash(f)
+    assert f in {f}
+    assert Neg(f) not in {f}
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from mcl import AgentUniverse, parse
+u = AgentUniverse.of("a", "b")
+text = "<{a}>(p & ~<{a,b}>q) | [{b}]r"
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(parse(text, u)))
+else:
+    g = pickle.loads(sys.stdin.buffer.read())
+    f = parse(text, u)
+    assert g == f and hash(g) == hash(f)
+    assert {f: "ok"}[g] == "ok" and {g: "ok"}[f] == "ok"
+    print("ok")
+"""
+
+
+def test_pickled_formula_rehashes_under_another_hash_seed():
+    # string hashes, and so stored formula hashes, differ between the seeds
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(mcl.__file__)),
+                            os.environ.get("PYTHONPATH", "")])
+
+    def run(seed, mode, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, mode],
+                              input=data, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    assert run("2", "load", run("1", "dump")) == b"ok\n"

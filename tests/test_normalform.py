@@ -5,6 +5,7 @@ import pytest
 from mcl import (TOP, And, Atom, Can, Neg, StandardFormula, bot, eval_all,
                  gamma_is_tautology, lor, modal_depth, ni0, parse,
                  random_formula, random_model, to_standard_conjunction)
+from mcl.normalform import _clause_depth, _prune
 
 
 def clauses_of(text, u):
@@ -172,3 +173,75 @@ def test_render_parses_back_to_the_same_core(ab):
         f = random_formula(rng, ab, ("p", "q"), rng.randint(1, 2))
         for sf in to_standard_conjunction(f, ab):
             assert parse(sf.render(), ab) == sf.to_formula()
+
+
+# -- clause pruning ------------------------------------------------------------------
+
+def _reference_prune(clauses, target_depth):
+    """The all-pairs pruning that ``_prune`` replaced, kept as its reference."""
+    unique, keys = [], []
+    for clause in clauses:
+        key = frozenset(clause)
+        if key not in keys:
+            keys.append(key)
+            unique.append(clause)
+    kept = [True] * len(unique)
+    for i, ki in enumerate(keys):
+        if not kept[i]:
+            continue
+        for j, kj in enumerate(keys):
+            if i != j and kept[j] and ki < kj:
+                kept[j] = False
+    survivors = [c for c, k in zip(unique, kept) if k]
+    if max((_clause_depth(c) for c in survivors), default=0) < target_depth:
+        for c, k in zip(unique, kept):
+            if not k and _clause_depth(c) == target_depth:
+                survivors.append(c)
+                break
+    return survivors
+
+
+def _clause_lists(ab, seed):
+    """Clause lists with duplicates in other orders, subset chains, clauses
+    of equal size, and deep clauses absorbed by shallow ones."""
+    rng = random.Random(seed)
+    a, b = ab.coalition("a"), ab.coalition("b")
+    leaves = [TOP, Atom("p"), Atom("q"), Atom("r"), Can(a, Atom("p")),
+              Can(b, Atom("q")), Can(a, Can(b, Atom("p"))), Can(ab.grand, bot())]
+    pool = [(pol, leaf) for leaf in leaves for pol in (True, False)]
+    clauses = []
+    for _ in range(rng.randint(1, 30)):
+        roll = rng.random()
+        if clauses and roll < 0.25:  # duplicate, literals reordered
+            clause = list(rng.choice(clauses))
+            rng.shuffle(clause)
+        elif clauses and roll < 0.55:  # superset of an earlier clause
+            base = rng.choice(clauses)
+            extra = [lit for lit in rng.sample(pool, rng.randint(1, 3)) if lit not in base]
+            clause = list(base) + extra
+            rng.shuffle(clause)
+        else:
+            clause = rng.sample(pool, rng.randint(1, 4))
+        clauses.append(clause)
+    return clauses
+
+
+def test_prune_matches_the_all_pairs_reference(ab):
+    fallbacks = 0
+    for seed in range(400):
+        clauses = _clause_lists(ab, seed)
+        deepest = max(_clause_depth(c) for c in clauses)
+        for target in range(deepest + 1):
+            expected = _reference_prune(clauses, target)
+            assert _prune(clauses, target) == expected, (seed, target)
+            survivors = _reference_prune(clauses, 0)
+            fallbacks += max(_clause_depth(c) for c in survivors) < target
+    assert fallbacks > 20  # the depth fallback was exercised
+
+
+def test_prune_keeps_first_seen_order_and_the_deepest_dropped_clause(ab):
+    p, q = (True, Atom("p")), (True, Atom("q"))
+    deep = (True, Can(ab.coalition("a"), Atom("p")))
+    clauses = [[q, p], [p], [p, q], [q], [deep, p], [p, deep], [q, p, deep]]
+    assert _prune(clauses, 0) == [[p], [q]]
+    assert _prune(clauses, 1) == [[p], [q], [deep, p]]
