@@ -10,9 +10,11 @@ only ever sees the five core forms.
 Formulas are immutable values and safe to share across threads.  Each node
 computes its hash once, when it is built, from its class name, its own
 fields and its children's stored hashes, so hashing a formula (every dict
-or set lookup) costs O(1) at any depth.  Equality stays structural.  A
-pickled or copied formula is rebuilt through its constructor, so it never
-carries a hash computed under another ``PYTHONHASHSEED``.
+or set lookup) costs O(1) at any depth.  Equality stays structural; it
+rejects on differing stored hashes first and otherwise compares fields
+along an explicit stack, so equal formulas of any depth compare without
+recursion.  A pickled or copied formula is rebuilt through its constructor,
+so it never carries a hash computed under another ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ class Coalition:
 class Formula:
     """Base class of the five core constructors.
 
-    Each subclass sets ``_hash`` in ``__post_init__`` and names
-    ``__hash__ = Formula.__hash__`` in its own body, which keeps the frozen
-    dataclass from generating a recursive one.
+    Each subclass sets ``_hash`` in ``__post_init__`` and is declared with
+    ``eq=False``, so it inherits this class's ``__hash__`` and ``__eq__``
+    instead of the recursive ones a dataclass would generate.
     """
 
     __slots__ = ()
@@ -149,39 +151,55 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        a, b, stack = self, other, []
+        while True:
+            if a._hash != b._hash or type(a) is not type(b):
+                return False
+            # a dataclass lists its field names in __match_args__
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+            if not stack:
+                return True
+            a, b = stack.pop()
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, fld.name) for fld in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(("Top",)))
 
-    __hash__ = Formula.__hash__
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(("Atom", self.name)))
 
-    __hash__ = Formula.__hash__
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
     child: Formula
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(("Neg", self.child._hash)))
 
-    __hash__ = Formula.__hash__
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
@@ -190,10 +208,8 @@ class And(Formula):
         object.__setattr__(self, "_hash",
                            hash(("And", self.left._hash, self.right._hash)))
 
-    __hash__ = Formula.__hash__
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Can(Formula):
     """``<A>phi``: some available joint action of A ensures phi."""
 
@@ -204,16 +220,15 @@ class Can(Formula):
         object.__setattr__(self, "_hash",
                            hash(("Can", self.coalition, self.child._hash)))
 
-    __hash__ = Formula.__hash__
-
 
 TOP = Top()
+_BOT = Neg(TOP)
 
 
 # -- sugar constructors; each returns a lowered core formula ----------------
 
 def bot() -> Formula:
-    return Neg(TOP)
+    return _BOT
 
 
 def lor(a: Formula, b: Formula) -> Formula:

@@ -451,6 +451,10 @@ def from_json_dict(data: dict) -> GameModel:
             label[name] = frozenset(_strings(entry.get("label", []),
                                              f"states[{k}].label"))
         out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
+        # rows repeat state names, profiles and outcome sets; equal ones
+        # share one object
+        shared: dict = {s: s for s in states}
+        intern = shared.setdefault
         for k, tr in enumerate(data.get("transitions", [])):
             where = f"transitions[{k}]"
             mapping = tr["profile"]
@@ -458,11 +462,14 @@ def from_json_dict(data: dict) -> GameModel:
                     isinstance(a, str) and isinstance(x, str) for a, x in mapping.items()):
                 raise ModelError(f"{where}.profile must be an object of strings")
             profile = JointAction.of(mapping)
-            key = (_string(tr["from"], f"{where}.from"), profile)
+            profile = intern(profile, profile)
+            source = _string(tr["from"], f"{where}.from")
+            key = (intern(source, source), profile)
             if key in out_ag:
                 raise ModelError(f"duplicate transition entry for {key[0]!r}, "
                                  f"{profile.render(universe)}")
-            out_ag[key] = frozenset(_strings(tr["to"], f"{where}.to"))
+            targets = frozenset([intern(t, t) for t in _strings(tr["to"], f"{where}.to")])
+            out_ag[key] = intern(targets, targets)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelError):
             raise

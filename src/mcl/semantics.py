@@ -5,15 +5,28 @@ joint action of ``A`` there has all its outcome states satisfying ``phi``.
 ``eval_all`` fills one truth column per subformula bottom-up, so every
 (subformula, state) pair is evaluated once; ``holds`` and ``ensures`` are
 thin wrappers over it.  All functions are pure.
+
+Columns are int bitsets over state indices (bit k is ``model.states[k]``),
+so ``~`` and ``&`` are single big-int operations.  Each call compiles the
+stored rows it needs: every row becomes an outcome mask, and for each
+distinct coalition ``A`` in the formula a state's rows are grouped by their
+projection onto ``A``, keeping the union of each group's outcomes.  ``<A>``
+then holds where some group's mask is a subset of the child's column.  A
+call costs O(stored rows x distinct coalitions) plus O(|f|) big-int
+operations, never walks the profile space, and caches nothing on the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .formula import (And, Atom, Can, Coalition, Formula, Neg, Top, atoms_of,
-                      coalitions_of, subformulas)
+from .formula import (AgentUniverse, And, Atom, Can, Coalition, Formula, Neg,
+                      Top, atoms_of, coalitions_of, subformulas)
 from .model import GameModel, JointAction
+
+# per state, in ``model.states`` order: (profile items, outcome mask) rows
+_Rows = list[list[tuple[tuple[tuple[str, str], ...], int]]]
 
 
 @dataclass(frozen=True)
@@ -41,43 +54,77 @@ def check_compatible(model: GameModel, f: Formula) -> None:
 def eval_all(model: GameModel, f: Formula) -> dict[str, bool]:
     """Truth value of ``f`` at every state of ``model``."""
     check_compatible(model, f)
-    table: dict[Formula, dict[str, bool]] = {}
+    states = model.states
+    full = (1 << len(states)) - 1
+    rows: _Rows | None = None
+    groups: dict[Coalition, list[tuple[int, ...]]] = {}
+    table: dict[Formula, int] = {}
     for g in subformulas(f):
         if isinstance(g, Top):
-            col = {s: True for s in model.states}
+            col = full
         elif isinstance(g, Atom):
-            col = {s: g.name in model.label.get(s, frozenset())
-                   for s in model.states}
+            col = 0
+            for k, s in enumerate(states):
+                if g.name in model.label.get(s, ()):
+                    col |= 1 << k
         elif isinstance(g, Neg):
-            child = table[g.child]
-            col = {s: not child[s] for s in model.states}
+            col = full & ~table[g.child]
         elif isinstance(g, And):
-            left, right = table[g.left], table[g.right]
-            col = {s: left[s] and right[s] for s in model.states}
+            col = table[g.left] & table[g.right]
         elif isinstance(g, Can):
-            col = _can_column(model, g.coalition, table[g.child])
+            if rows is None:
+                rows = _outcome_masks(model)
+            by_state = groups.get(g.coalition)
+            if by_state is None:
+                by_state = groups[g.coalition] = _group_masks(
+                    rows, model.universe, g.coalition.members)
+            outside = ~table[g.child]
+            col = 0
+            for k, masks in enumerate(by_state):
+                for mask in masks:
+                    if not mask & outside:
+                        col |= 1 << k
+                        break
         else:
             raise TypeError(f"not a core formula: {g!r}")
         table[g] = col
-    return dict(table[f])
+    column = table[f]
+    return {s: bool(column >> k & 1) for k, s in enumerate(states)}
 
 
-def _can_column(model: GameModel, coalition: Coalition,
-                child: dict[str, bool]) -> dict[str, bool]:
-    members = coalition.members
-    col = {}
+def _outcome_masks(model: GameModel) -> _Rows:
+    bit = {s: 1 << k for k, s in enumerate(model.states)}
+    by_state = model._rows_by_state
+    out = []
     for s in model.states:
-        # ensured[sigma_A] stays true while every outcome of every extending
-        # profile satisfies the child formula
-        ensured: dict[JointAction, bool] = {}
-        for profile in model.available_profiles(s):
-            restricted = profile.restrict(members)
-            ok = ensured.get(restricted, True)
-            if ok:
-                ok = all(child[t] for t in model.outcome(s, profile))
-            ensured[restricted] = ok
-        col[s] = any(ensured.values())
-    return col
+        state_rows = []
+        for profile, targets in by_state[s]:
+            mask = 0
+            for t in targets:
+                mask |= bit[t]
+            state_rows.append((profile.items, mask))
+        out.append(state_rows)
+    return out
+
+
+def _group_masks(rows: _Rows, universe: AgentUniverse,
+                 members: frozenset[str]) -> list[tuple[int, ...]]:
+    """Per state: the outcome mask of each available joint action of
+    ``members``, i.e. the union over the rows that extend it."""
+    # profile items are sorted by agent name and cover the grand coalition,
+    # so each member sits at the same position in every stored profile
+    positions = [i for i, a in enumerate(sorted(universe.agents)) if a in members]
+    if len(positions) == len(universe):  # every row is its own joint action
+        return [tuple(mask for _, mask in state_rows) for state_rows in rows]
+    key = itemgetter(*positions) if positions else lambda items: ()
+    out = []
+    for state_rows in rows:
+        acc: dict[object, int] = {}
+        for items, mask in state_rows:
+            k = key(items)
+            acc[k] = acc.get(k, 0) | mask
+        out.append(tuple(acc.values()))
+    return out
 
 
 def holds(pm: PointedModel, f: Formula) -> bool:

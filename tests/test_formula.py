@@ -180,6 +180,34 @@ def test_deep_negation_chain_hashes_without_recursion():
     assert Neg(f) not in {f}
 
 
+def _neg_chain(bottom, depth=10_000):
+    f = Atom(bottom)
+    for _ in range(depth):
+        f = Neg(f)
+    return f
+
+
+def test_deep_equal_chains_compare_without_recursion():
+    a, b = _neg_chain("p"), _neg_chain("p")
+    assert a is not b
+    assert a == b and not a != b
+    assert {a: "found"}[b] == "found"
+    assert b in {a}
+    other = _neg_chain("q")
+    assert a != other and other != a
+    assert other not in {a: 1}
+
+
+def test_can_nodes_over_different_coalitions_differ(ab):
+    child = And(Atom("p"), Neg(Atom("q")))
+    cans = [Can(c, child) for c in ab.coalitions()]
+    for i, x in enumerate(cans):
+        for j, y in enumerate(cans):
+            assert (x == y) == (i == j)
+    assert Can(ab.coalition("a"), child) == Can(ab.coalition("a"), And(Atom("p"), Neg(Atom("q"))))
+    assert Atom("p") != "p" and TOP != None  # noqa: E711
+
+
 _PICKLE_SCRIPT = """
 import pickle, sys
 from mcl import AgentUniverse, parse

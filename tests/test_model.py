@@ -285,6 +285,19 @@ def test_dumps_and_classify_do_not_walk_profiles(monkeypatch, one_mask):
         assert classify(fresh) == summary
 
 
+def test_loads_shares_repeated_names_profiles_and_outcome_sets(one_mask):
+    for m in [one_mask, *_reference_models()]:
+        fresh = loads(dumps(m))
+        assert fresh == m
+        names = {id(s) for s in fresh.states}
+        profiles = [p for _, p in fresh.out_ag]
+        outcomes = list(fresh.out_ag.values())
+        assert all(id(s) in names for s, _ in fresh.out_ag)
+        assert all(id(t) in names for ts in outcomes for t in ts)
+        assert len({id(p) for p in profiles}) == len(set(profiles))
+        assert len({id(ts) for ts in outcomes}) == len(set(outcomes))
+
+
 # -- derivation identities on sampled models -------------------------------------------------
 
 def _all_joint_actions(model, coalition):

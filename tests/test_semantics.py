@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from mcl import (TOP, Atom, Can, JointAction, Neg, PointedModel, box, dia,
-                 dual, ensures, eval_all, holds, implies, lor, parse,
-                 random_formula, random_model)
+from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, JointAction,
+                 Neg, PointedModel, Top, box, dia, dual, ensures, eval_all,
+                 holds, implies, lor, parse, random_cgm, random_formula,
+                 random_model)
+from mcl.formula import subformulas
 
 
 def ja(**kwargs):
@@ -95,6 +97,99 @@ def test_eval_all_matches_a_naive_reference(ab):
         column = eval_all(m, f)
         for s in m.states:
             assert column[s] == _naive_holds(m, s, f)
+
+
+def _dict_column_eval_all(model, f):
+    # the dict-column evaluator that preceded the bitset checker, kept as a
+    # reference: one dict[str, bool] per subformula, and <A> re-projects
+    # every available profile of every state
+    table = {}
+    for g in subformulas(f):
+        if isinstance(g, Top):
+            col = {s: True for s in model.states}
+        elif isinstance(g, Atom):
+            col = {s: g.name in model.label.get(s, frozenset())
+                   for s in model.states}
+        elif isinstance(g, Neg):
+            child = table[g.child]
+            col = {s: not child[s] for s in model.states}
+        elif isinstance(g, And):
+            left, right = table[g.left], table[g.right]
+            col = {s: left[s] and right[s] for s in model.states}
+        else:
+            col = _dict_can_column(model, g.coalition, table[g.child])
+        table[g] = col
+    return dict(table[f])
+
+
+def _dict_can_column(model, coalition, child):
+    members = coalition.members
+    col = {}
+    for s in model.states:
+        ensured = {}
+        for profile in model.available_profiles(s):
+            restricted = profile.restrict(members)
+            ok = ensured.get(restricted, True)
+            if ok:
+                ok = all(child[t] for t in model.outcome(s, profile))
+            ensured[restricted] = ok
+        col[s] = any(ensured.values())
+    return col
+
+
+ABC = AgentUniverse.of("a", "b", "c")
+
+
+def _every_coalition_formulas(rng, universe, atoms=("p", "q")):
+    # one <A> formula per coalition, {} and the grand coalition included,
+    # plus a few random ones that nest several coalitions
+    fs = [Can(c, random_formula(rng, universe, atoms, rng.randint(0, 2)))
+          for c in universe.coalitions()]
+    fs += [random_formula(rng, universe, atoms, rng.randint(1, 3), 12)
+           for _ in range(3)]
+    return fs
+
+
+def _scale_models():
+    rng = random.Random(4242)
+    for k in range(24):
+        n_states = (1, 2, 63, 64, 65, 70)[k % 6] if k < 12 else rng.randint(1, 70)
+        density = (0.0, 0.01, 0.03, 0.1, 0.5, 1.0)[k % 6]
+        yield rng, random_model(ABC, n_states, rng.randint(1, 2), density, seed=k)
+        yield rng, random_cgm(ABC, rng.randint(1, 70), rng.randint(1, 3), seed=k)
+
+
+def test_eval_all_matches_the_dict_column_reference_at_scale():
+    wide = dead_ends = nondeterministic = 0
+    for rng, m in _scale_models():
+        wide += len(m.states) > 64
+        dead_ends += any(not m.available_profiles(s) for s in m.states)
+        nondeterministic += any(len(t) > 1 for t in m.out_ag.values())
+        for f in _every_coalition_formulas(rng, ABC):
+            column = eval_all(m, f)
+            assert list(column) == list(m.states)
+            assert column == _dict_column_eval_all(m, f)
+    assert wide >= 5 and dead_ends >= 5 and nondeterministic >= 5
+
+
+def test_eval_all_does_not_walk_profiles(monkeypatch, one_mask, two_masks):
+    rng = random.Random(7)
+    cases = []
+    for m in (one_mask, two_masks, random_cgm(ABC, 12, 3, seed=5)):
+        atoms = tuple(m.atoms)
+        for f in _every_coalition_formulas(rng, m.universe, atoms):
+            cases.append((m, f, _dict_column_eval_all(m, f)))
+
+    def walk(*args):
+        raise AssertionError("profile space walked")
+
+    monkeypatch.setattr(GameModel, "available_profiles", walk)
+    monkeypatch.setattr(GameModel, "outcome", walk)
+    monkeypatch.setattr(JointAction, "restrict", walk)
+    for m, f, expected in cases:
+        assert eval_all(m, f) == expected
+        for s in m.states:
+            assert holds(PointedModel(m, s), f) == expected[s]
 
 
 def test_eval_all_agrees_with_holds(ab):
