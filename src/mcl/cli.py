@@ -8,6 +8,11 @@ model-checking certificate).  Errors print one ``error:`` or
 with the input formula, whitespace collapsed.  ``--agents`` fixes the grand
 coalition and its canonical order for everything downstream; when omitted,
 it defaults to the agents the formula mentions.
+
+Subcommands are declared in ``_COMMANDS``: name, handler, help text and
+argument specs in help order.  ``build_parser`` loops over that table, adds
+the required ``--formula | --formula-file`` group where a spec names
+``_FORMULA``, and gives every subcommand ``--format``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import sys
 from . import model as model_io
 from .decide import (CertificationError, ClauseOutcome, decide_sat,
                      decide_valid)
-from .formula import (AgentUniverse, ParseError, agents_mentioned,
+from .formula import (AgentUniverse, Formula, ParseError, agents_mentioned,
                       modal_depth, parse, pretty)
 from .model import ModelError, classify, load_fixture
 from .normalform import to_standard_conjunction
@@ -37,13 +42,17 @@ def _universe(text: str | None, formula_text: str | None = None) -> AgentUnivers
     return AgentUniverse(names or ("a",))
 
 
-def _read_formula(args) -> str:
-    """The formula text; read from ``--formula-file`` into ``args.formula``
-    so that an error report can quote it."""
+def _formula(args, universe: AgentUniverse | None = None
+             ) -> tuple[Formula, AgentUniverse]:
+    """The parsed formula and its universe (by default from ``--agents`` or
+    the formula, see ``_universe``).  ``--formula-file`` is read into
+    ``args.formula`` so that an error report can quote it."""
     if args.formula is None:
         with open(args.formula_file, encoding="utf-8") as fh:
             args.formula = fh.read()
-    return args.formula
+    if universe is None:
+        universe = _universe(args.agents, args.formula)
+    return parse(args.formula, universe), universe
 
 
 def _load_model(path: str):
@@ -84,9 +93,7 @@ def _trace_text(trace: tuple[ClauseOutcome, ...]) -> list[str]:
 
 
 def cmd_parse(args) -> int:
-    text = _read_formula(args)
-    universe = _universe(args.agents, text)
-    f = parse(text, universe)
+    f, _ = _formula(args)
     if args.format == "json":
         print(json.dumps({"formula": pretty(f), "depth": modal_depth(f)}))
     else:
@@ -95,16 +102,13 @@ def cmd_parse(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    text = _read_formula(args)
-    f = parse(text, _universe(args.agents, text))
+    f, _ = _formula(args)
     print(modal_depth(f))
     return 0
 
 
 def cmd_nf(args) -> int:
-    text = _read_formula(args)
-    universe = _universe(args.agents, text)
-    f = parse(text, universe)
+    f, universe = _formula(args)
     clauses = to_standard_conjunction(f, universe)
     if args.format == "json":
         print(json.dumps({"clauses": [c.render() for c in clauses]}))
@@ -135,7 +139,7 @@ def cmd_classify(args) -> int:
 
 def cmd_mc(args) -> int:
     m = _load_model(args.model)
-    f = parse(_read_formula(args), m.universe)
+    f, _ = _formula(args, m.universe)
     value = holds(PointedModel(m, args.state), f)
     if args.format == "json":
         print(json.dumps({"verdict": value}))
@@ -152,9 +156,7 @@ def _emit_model(pm: PointedModel, path: str | None) -> str | None:
 
 
 def cmd_valid(args) -> int:
-    text = _read_formula(args)
-    universe = _universe(args.agents, text)
-    f = parse(text, universe)
+    f, universe = _formula(args)
     verdict = decide_valid(f, universe)
     path = None if verdict.valid else _emit_model(verdict.countermodel,
                                                   args.countermodel_out)
@@ -176,9 +178,7 @@ def cmd_valid(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    text = _read_formula(args)
-    universe = _universe(args.agents, text)
-    f = parse(text, universe)
+    f, universe = _formula(args)
     verdict = decide_sat(f, universe)
     path = _emit_model(verdict.witness, args.witness_out) \
         if verdict.satisfiable else None
@@ -198,9 +198,7 @@ def cmd_sat(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
-    text = _read_formula(args)
-    universe = _universe(args.agents, text)
-    f = parse(text, universe)
+    f, universe = _formula(args)
     verdict = decide_valid(f, universe)
     if verdict.valid:
         print("formula is valid; no countermodel exists", file=sys.stderr)
@@ -243,18 +241,42 @@ def cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-_AGENTS_HELP = ("comma-separated agent names fixing the grand coalition and "
-                "its canonical order (default: the agents the formula mentions)")
+_FORMULA = "--formula | --formula-file"  # marker: the required formula group
+_AGENTS = ("--agents", {"help": "comma-separated agent names fixing the grand "
+                        "coalition and its canonical order (default: the "
+                        "agents the formula mentions)"})
 
-
-def _add_formula_args(sub) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--formula", help="formula text")
-    group.add_argument("--formula-file", help="read the formula from a file")
-
-
-def _add_format_arg(sub) -> None:
-    sub.add_argument("--format", choices=("human", "json"), default="human")
+_COMMANDS = (
+    ("parse", cmd_parse, "echo the lowered core formula", (_AGENTS, _FORMULA)),
+    ("depth", cmd_depth, "print the modal depth", (_AGENTS, _FORMULA)),
+    ("nf", cmd_nf, "print the standard clauses", (_AGENTS, _FORMULA)),
+    ("classify", cmd_classify, "report model properties", (
+        ("--model", {"required": True, "help": "model file, or a bundled "
+                     "name (two_masks, one_mask)"}),)),
+    ("mc", cmd_mc, "truth value at a state", (
+        ("--model", {"required": True}), ("--state", {"required": True}),
+        _FORMULA)),
+    ("valid", cmd_valid, "decide validity", (
+        _AGENTS, _FORMULA,
+        ("--countermodel-out", {"help": "write the countermodel here"}))),
+    ("sat", cmd_sat, "decide satisfiability", (
+        _AGENTS, _FORMULA,
+        ("--witness-out", {"help": "write the witness model here"}))),
+    ("countermodel", cmd_countermodel,
+     "build a countermodel for an invalid formula", (
+         _AGENTS, _FORMULA, ("--out", {"required": True}))),
+    ("fuzz", cmd_fuzz, "differential run: decider vs search", (
+        ("--agents", {"required": True, "help": "comma-separated agent names "
+                      "(no formula to scan)"}),
+        ("--atoms", {"default": "p,q"}),
+        ("--formulas", {"type": int, "default": 50}),
+        ("--depth", {"type": int, "default": 2}),
+        ("--max-states", {"type": int, "default": 3}),
+        ("--max-actions", {"type": int, "default": 2}),
+        ("--samples", {"type": int, "default": 200}),
+        ("--scheme-models", {"type": int, "default": 0}),
+        ("--seed", {"type": int, "default": 0}))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,80 +284,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcl",
         description="Minimal coalition logic: parse, model-check, decide, refute.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("parse", help="echo the lowered core formula")
-    sub.add_argument("--agents", help=_AGENTS_HELP)
-    _add_formula_args(sub)
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_parse)
-
-    sub = subs.add_parser("depth", help="print the modal depth")
-    sub.add_argument("--agents", help=_AGENTS_HELP)
-    _add_formula_args(sub)
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_depth)
-
-    sub = subs.add_parser("nf", help="print the standard clauses")
-    sub.add_argument("--agents", help=_AGENTS_HELP)
-    _add_formula_args(sub)
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_nf)
-
-    sub = subs.add_parser("classify", help="report model properties")
-    sub.add_argument("--model", required=True,
-                     help="model file, or a bundled name (two_masks, one_mask)")
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_classify)
-
-    sub = subs.add_parser("mc", help="truth value at a state")
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--state", required=True)
-    _add_formula_args(sub)
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_mc)
-
-    sub = subs.add_parser("valid", help="decide validity")
-    sub.add_argument("--agents", help=_AGENTS_HELP)
-    _add_formula_args(sub)
-    sub.add_argument("--countermodel-out", help="write the countermodel here")
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_valid)
-
-    sub = subs.add_parser("sat", help="decide satisfiability")
-    sub.add_argument("--agents", help=_AGENTS_HELP)
-    _add_formula_args(sub)
-    sub.add_argument("--witness-out", help="write the witness model here")
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_sat)
-
-    sub = subs.add_parser("countermodel",
-                          help="build a countermodel for an invalid formula")
-    sub.add_argument("--agents", help=_AGENTS_HELP)
-    _add_formula_args(sub)
-    sub.add_argument("--out", required=True)
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_countermodel)
-
-    sub = subs.add_parser("fuzz", help="differential run: decider vs search")
-    sub.add_argument("--agents", required=True,
-                     help="comma-separated agent names (no formula to scan)")
-    sub.add_argument("--atoms", default="p,q")
-    sub.add_argument("--formulas", type=int, default=50)
-    sub.add_argument("--depth", type=int, default=2)
-    sub.add_argument("--max-states", type=int, default=3)
-    sub.add_argument("--max-actions", type=int, default=2)
-    sub.add_argument("--samples", type=int, default=200)
-    sub.add_argument("--scheme-models", type=int, default=0)
-    sub.add_argument("--seed", type=int, default=0)
-    _add_format_arg(sub)
-    sub.set_defaults(run=cmd_fuzz)
-
+    for name, run, help_text, specs in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for spec in specs:
+            if spec is _FORMULA:
+                group = sub.add_mutually_exclusive_group(required=True)
+                group.add_argument("--formula", help="formula text")
+                group.add_argument("--formula-file",
+                                   help="read the formula from a file")
+            else:
+                sub.add_argument(spec[0], **spec[1])
+        sub.add_argument("--format", choices=("human", "json"), default="human")
+        sub.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ParseError, ModelError, ValueError, OSError) as exc:

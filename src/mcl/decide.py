@@ -184,27 +184,33 @@ def _decide_modal(f: Formula, universe: AgentUniverse,
                   memo: dict[str, Verdict]) -> Verdict:
     trace: list[ClauseOutcome] = []
     for sf in to_standard_conjunction(f, universe):
-        outcome = _decide_clause(sf, universe, memo)
+        outcome, refutations = _decide_clause(sf, universe, memo)
         trace.append(outcome)
         if outcome.case == "refuted":
-            pm, _ = _graft_countermodel(sf, universe, memo)
+            pm, _ = _graft_countermodel(outcome, refutations, universe)
             return Verdict(False, pm, tuple(trace))
     return Verdict(True, None, tuple(trace))
 
 
 def _decide_clause(sf: StandardFormula, universe: AgentUniverse,
-                   memo: dict[str, Verdict]) -> ClauseOutcome:
+                   memo: dict[str, Verdict]
+                   ) -> tuple[ClauseOutcome, list[PointedModel]]:
+    """How the clause is settled, and for a refuted clause the countermodel
+    of each failed pair reduction, in ``failed_pairs`` order."""
     if gamma_is_tautology(sf.gamma):
-        return ClauseOutcome(sf, "gamma")
+        return ClauseOutcome(sf, "gamma"), []
     failed: list[tuple[int, int]] = []
+    refutations: list[PointedModel] = []
     for i, (coal_a, _) in enumerate(sf.ni):
         for j, (coal_b, _) in enumerate(sf.pi):
             if not coal_a.issubset(coal_b):
                 continue
-            if _decide(pair_implication(sf, i, j), universe, memo).valid:
-                return ClauseOutcome(sf, "pair", pair=(i, j))
+            verdict = _decide(pair_implication(sf, i, j), universe, memo)
+            if verdict.valid:
+                return ClauseOutcome(sf, "pair", pair=(i, j)), []
             failed.append((i, j))
-    return ClauseOutcome(sf, "refuted", failed_pairs=tuple(failed))
+            refutations.append(verdict.countermodel)
+    return ClauseOutcome(sf, "refuted", failed_pairs=tuple(failed)), refutations
 
 
 # -- countermodel construction ------------------------------------------------------
@@ -222,11 +228,10 @@ def build_countermodel_detailed(sf: StandardFormula,
                                 universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
     """As ``build_countermodel``, also returning the hub game form (None for
     the dead-end case with an empty negative side)."""
-    memo: dict[str, Verdict] = {}
-    outcome = _decide_clause(sf, universe, memo)
+    outcome, refutations = _decide_clause(sf, universe, {})
     if outcome.case != "refuted":
         raise ValueError("clause is valid; no countermodel exists")
-    return _graft_countermodel(sf, universe, memo)
+    return _graft_countermodel(outcome, refutations, universe)
 
 
 def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
@@ -239,8 +244,11 @@ def _clause_atoms(sf: StandardFormula) -> tuple[str, ...]:
     return tuple(sorted(atoms_of(sf.to_formula())))
 
 
-def _graft_countermodel(sf: StandardFormula, universe: AgentUniverse,
-                        memo: dict[str, Verdict]) -> tuple[PointedModel, GameForm | None]:
+def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
+                        universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
+    """Graft the refuted clause ``outcome.clause`` from the countermodels of
+    its failed pairs (``refutations``, in ``outcome.failed_pairs`` order)."""
+    sf = outcome.clause
     hub_label = _falsifying_label(sf)
 
     if not sf.ni:
@@ -248,25 +256,13 @@ def _graft_countermodel(sf: StandardFormula, universe: AgentUniverse,
         _certify_clause(pm, sf)
         return pm, None
 
-    pairs_in = [(i, j)
-                for i in range(len(sf.ni)) for j in range(len(sf.pi))
-                if sf.ni[i][0].issubset(sf.pi[j][0])]
+    pairs_in = outcome.failed_pairs
     pairs_out = [(i, j)
                  for i in range(len(sf.ni)) for j in range(len(sf.pi))
                  if not sf.ni[i][0].issubset(sf.pi[j][0])]
 
-    submodels = []
-    entry_states = []
-    for i, j in pairs_in:
-        verdict = _decide(pair_implication(sf, i, j), universe, memo)
-        if verdict.valid:
-            raise ValueError(f"pair ({i}, {j}) reduction is valid; "
-                             "clause has no countermodel")
-        submodels.append(verdict.countermodel.model)
-        entry_states.append(verdict.countermodel.state)
-
-    renamed = rename_disjoint(submodels)
-    targets = tuple(f"g{k}." + entry_states[k] for k in range(len(pairs_in)))
+    renamed = rename_disjoint([pm.model for pm in refutations])
+    targets = tuple(f"g{k}." + pm.state for k, pm in enumerate(refutations))
     target_of_pair = dict(zip(pairs_in, targets))
     all_targets = frozenset(targets)
 

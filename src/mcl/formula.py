@@ -61,9 +61,6 @@ class AgentUniverse:
     def __iter__(self) -> Iterator[str]:
         return iter(self.agents)
 
-    def index(self, agent: str) -> int:
-        return self.agents.index(agent)
-
     def coalition(self, *members: str) -> Coalition:
         return Coalition(self, frozenset(members))
 
@@ -120,10 +117,6 @@ class Coalition:
     def isdisjoint(self, other: Coalition) -> bool:
         self._same_universe(other)
         return self.members.isdisjoint(other.members)
-
-    @property
-    def is_grand(self) -> bool:
-        return len(self.members) == len(self.universe.agents)
 
     def __contains__(self, agent: str) -> bool:
         return agent in self.members

@@ -236,6 +236,12 @@ class DifferentialConfig:
     seed: int = 0
     scheme_models: int = 0
 
+    def __post_init__(self):
+        if not self.atoms:
+            raise ValueError("fuzzing needs at least one atom")
+        if self.max_depth < 1:
+            raise ValueError("fuzzing needs a maximum modal depth of at least 1")
+
 
 def differential_run(config: DifferentialConfig) -> DifferentialReport:
     report = DifferentialReport()

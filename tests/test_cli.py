@@ -1,9 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+import mcl.cli
 import mcl.decide
-from mcl.cli import main
+from mcl.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -111,6 +116,11 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("valid", "--agents", "a", "--formula", "<{a}>" * 3000 + "p"),
     ("parse", "--agents", "a", "--formula", "~" * 3000 + "p"),
+    # fuzz configurations that cannot generate a formula
+    ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "2"),
+    ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "0",
+     "--scheme-models", "1"),
+    ("fuzz", "--agents", "a", "--depth", "0"),
 ])
 def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -127,12 +137,17 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["valid", "--agents", "a,b"])  # formula missing
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["valid", "--agents", "a,b"],  # formula missing
+                 ["no-such-command"],
+                 ["classify"],
+                 ["mc", "--model", "one_mask", "--formula", "p"],
+                 ["countermodel", "--formula", "p"],
+                 ["fuzz"],
+                 ["parse", "--formula", "p", "--formula-file", "f.mcl"],
+                 ["parse"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_fuzz_clean_run_exits_zero(capsys):
@@ -166,3 +181,60 @@ def test_formula_file_input(capsys, tmp_path):
                        "--formula-file", str(source))
     assert code == 0
     assert out.splitlines()[0] == "VALID"
+
+
+_FORMULA_DEFAULTS = {"agents": None, "formula": "p", "formula_file": None}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["parse", "--formula", "p"], {**_FORMULA_DEFAULTS, "run": mcl.cli.cmd_parse}),
+    (["depth", "--formula", "p"], {**_FORMULA_DEFAULTS, "run": mcl.cli.cmd_depth}),
+    (["nf", "--formula", "p"], {**_FORMULA_DEFAULTS, "run": mcl.cli.cmd_nf}),
+    (["classify", "--model", "m"], {"model": "m", "run": mcl.cli.cmd_classify}),
+    (["mc", "--model", "m", "--state", "s0", "--formula", "p"],
+     {"model": "m", "state": "s0", "formula": "p", "formula_file": None,
+      "run": mcl.cli.cmd_mc}),
+    (["valid", "--formula", "p"],
+     {**_FORMULA_DEFAULTS, "countermodel_out": None, "run": mcl.cli.cmd_valid}),
+    (["sat", "--formula", "p"],
+     {**_FORMULA_DEFAULTS, "witness_out": None, "run": mcl.cli.cmd_sat}),
+    (["countermodel", "--formula", "p", "--out", "o"],
+     {**_FORMULA_DEFAULTS, "out": "o", "run": mcl.cli.cmd_countermodel}),
+    (["fuzz", "--agents", "a"],
+     {"agents": "a", "atoms": "p,q", "formulas": 50, "depth": 2,
+      "max_states": 3, "max_actions": 2, "samples": 200, "scheme_models": 0,
+      "seed": 0, "run": mcl.cli.cmd_fuzz}),
+])
+def test_argument_defaults(argv, expected):
+    args = build_parser().parse_args(argv)
+    assert vars(args) == {"command": argv[0], "format": "human", **expected}
+
+
+def _readme_commands():
+    """(argv, expected output or None) for each ``mcl`` line of README's
+    "Command line" block; a trailing ``...`` makes the output a prefix."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip().startswith("mcl "):
+            expected = comment.strip()[2:].strip() \
+                if comment.strip().startswith("->") else None
+            commands.append((shlex.split(command)[1:], expected))
+    return commands
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv, expected in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expected is None:
+            continue
+        if expected.endswith("..."):
+            assert out.startswith(expected[:-3]), (argv, out)
+        else:
+            assert out.strip() == expected, (argv, out)
