@@ -240,20 +240,17 @@ def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
     return frozenset(lit.child.name for lit in sf.gamma if isinstance(lit, Neg))
 
 
-def _clause_atoms(sf: StandardFormula) -> tuple[str, ...]:
-    return tuple(sorted(atoms_of(sf.to_formula())))
-
-
 def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
                         universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
     """Graft the refuted clause ``outcome.clause`` from the countermodels of
     its failed pairs (``refutations``, in ``outcome.failed_pairs`` order)."""
     sf = outcome.clause
+    clause = sf.to_formula()  # one object, so its measures are walked once
     hub_label = _falsifying_label(sf)
 
     if not sf.ni:
-        pm = _dead_end(universe, _clause_atoms(sf), hub_label)
-        _certify_clause(pm, sf)
+        pm = _dead_end(universe, sorted(atoms_of(clause)), hub_label)
+        _certify_clause(pm, clause)
         return pm, None
 
     pairs_in = outcome.failed_pairs
@@ -292,7 +289,7 @@ def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
         out0=dict(hub_rows),
     )
 
-    atoms: list[str] = list(_clause_atoms(sf))
+    atoms: list[str] = sorted(atoms_of(clause))
     actions: list[str] = list(hub_actions)
     states: list[str] = ["s0"]
     label: dict[str, frozenset[str]] = {"s0": hub_label}
@@ -308,12 +305,12 @@ def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
     model = GameModel(universe, tuple(atoms), tuple(actions), tuple(states),
                       label, out_ag)
     pm = PointedModel(model, "s0")
-    _certify_clause(pm, sf)
+    _certify_clause(pm, clause)
     return pm, game_form
 
 
-def _certify_clause(pm: PointedModel, sf: StandardFormula) -> None:
-    if holds(pm, sf.to_formula()):
+def _certify_clause(pm: PointedModel, clause: Formula) -> None:
+    if holds(pm, clause):
         raise CertificationError("grafted model does not refute the clause")
 
 

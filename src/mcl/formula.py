@@ -8,20 +8,22 @@ constructors below lower them to the core immediately, so semantic code
 only ever sees the five core forms.
 
 Formulas are immutable values and safe to share across threads.  Each node
-computes its hash once, when it is built, from its class name, its own
-fields and its children's stored hashes, so hashing a formula (every dict
-or set lookup) costs O(1) at any depth.  Equality stays structural; it
-rejects on differing stored hashes first and otherwise compares fields
-along an explicit stack, so equal formulas of any depth compare without
-recursion.  A pickled or copied formula is rebuilt through its constructor,
-so it never carries a hash computed under another ``PYTHONHASHSEED``.
+computes its hash and modal depth once, when it is built, from its class
+name, its fields and its children's stored values, so hashing and
+``modal_depth`` cost O(1) at any depth.  Equality is structural and compares
+along an explicit stack after a stored-hash check, so it needs no recursion.
+``walk`` computes the other measures in one iterative walk on the first
+request and caches them on the node; threads racing on it only store equal
+immutable values twice.  The cache takes no part in ``__eq__``, ``__hash__``
+or pickling: a pickled or copied formula is rebuilt through its constructor,
+with neither the cache nor a hash computed under another ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class ParseError(ValueError):
@@ -134,9 +136,9 @@ class Coalition:
 class Formula:
     """Base class of the five core constructors.
 
-    Each subclass sets ``_hash`` in ``__post_init__`` and is declared with
-    ``eq=False``, so it inherits this class's ``__hash__`` and ``__eq__``
-    instead of the recursive ones a dataclass would generate.
+    Each subclass sets ``_hash`` and ``_depth`` in ``__post_init__`` and is
+    declared with ``eq=False``, so it inherits this class's ``__hash__`` and
+    ``__eq__`` instead of the recursive ones a dataclass would generate.
     """
 
     __slots__ = ()
@@ -173,7 +175,8 @@ class Formula:
 @dataclass(frozen=True, eq=False)
 class Top(Formula):
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Top",)))
+        d = self.__dict__  # frozen dataclass: bypass its __setattr__
+        d["_hash"], d["_depth"] = hash(("Top",)), 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +184,8 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Atom", self.name)))
+        d = self.__dict__
+        d["_hash"], d["_depth"] = hash(("Atom", self.name)), 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +193,8 @@ class Neg(Formula):
     child: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Neg", self.child._hash)))
+        d = self.__dict__
+        d["_hash"], d["_depth"] = hash(("Neg", self.child._hash)), self.child._depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +203,9 @@ class And(Formula):
     right: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash(("And", self.left._hash, self.right._hash)))
+        d, x, y = self.__dict__, self.left, self.right
+        d["_hash"] = hash(("And", x._hash, y._hash))
+        d["_depth"] = x._depth if x._depth > y._depth else y._depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +216,9 @@ class Can(Formula):
     child: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash(("Can", self.coalition, self.child._hash)))
+        d = self.__dict__
+        d["_hash"] = hash(("Can", self.coalition, self.child._hash))
+        d["_depth"] = self.child._depth + 1
 
 
 TOP = Top()
@@ -271,63 +278,70 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 def modal_depth(f: Formula) -> int:
     """Maximal nesting of coalition modalities; 0 for propositional formulas."""
-    if isinstance(f, (Top, Atom)):
-        return 0
-    if isinstance(f, Neg):
-        return modal_depth(f.child)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Can):
-        return 1 + modal_depth(f.child)
-    raise TypeError(f"not a core formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a core formula: {f!r}")
+    return f._depth
+
+
+class Walk(NamedTuple):
+    """The measures of one formula that ``walk`` caches on it."""
+
+    subformulas: tuple[Formula, ...]  # unique subformulas, bottom-up
+    slots: tuple[tuple[int, int], ...]  # per subformula: its children's indices
+    atoms: frozenset[str]
+    coalitions: frozenset[Coalition]
+
+
+def walk(f: Formula) -> Walk:
+    """The measures of ``f``, computed by one iterative walk on the first
+    request and cached on ``f``; every later call returns the same object."""
+    if "_walk" in vars(f):
+        return f._walk
+    slot: dict[Formula, int] = {}  # insertion order is the postorder
+    slots: list[tuple[int, int]] = []
+    done: list[int] = []  # slots of the subformulas just finished, last on top
+    stack: list[Formula | None] = [f]  # None: finish the node below it
+    while stack:
+        g = stack.pop()
+        if g is None:
+            g = stack.pop()
+            y = done.pop()
+            x = done.pop() if type(g) is And else y
+        else:
+            if g in slot:
+                done.append(slot[g])
+                continue
+            kind = type(g)
+            if kind is And:  # children first, left to right
+                stack += (g, None, g.right, g.left)
+                continue
+            if kind is Neg or kind is Can:
+                stack += (g, None, g.child)
+                continue
+            if kind is not Atom and kind is not Top:
+                raise TypeError(f"not a core formula: {g!r}")
+            x = y = -1
+        done.append(len(slots))
+        slot[g] = len(slots)
+        slots.append((x, y))
+    f.__dict__["_walk"] = result = Walk(
+        tuple(slot), tuple(slots), frozenset(g.name for g in slot if type(g) is Atom),
+        frozenset(g.coalition for g in slot if type(g) is Can))
+    return result
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Top):
-        return frozenset()
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Neg):
-        return atoms_of(f.child)
-    if isinstance(f, And):
-        return atoms_of(f.left) | atoms_of(f.right)
-    if isinstance(f, Can):
-        return atoms_of(f.child)
-    raise TypeError(f"not a core formula: {f!r}")
+    return walk(f).atoms
 
 
 def coalitions_of(f: Formula) -> frozenset[Coalition]:
-    if isinstance(f, (Top, Atom)):
-        return frozenset()
-    if isinstance(f, Neg):
-        return coalitions_of(f.child)
-    if isinstance(f, And):
-        return coalitions_of(f.left) | coalitions_of(f.right)
-    if isinstance(f, Can):
-        return frozenset((f.coalition,)) | coalitions_of(f.child)
-    raise TypeError(f"not a core formula: {f!r}")
+    return walk(f).coalitions
 
 
-def subformulas(f: Formula) -> list[Formula]:
-    """Unique subformulas in bottom-up (postorder) order."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        if isinstance(g, Neg):
-            walk(g.child)
-        elif isinstance(g, And):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Can):
-            walk(g.child)
-        seen.add(g)
-        out.append(g)
-
-    walk(f)
-    return out
+def subformulas(f: Formula) -> tuple[Formula, ...]:
+    """Unique subformulas in bottom-up (postorder) order, as the tuple
+    cached on ``f`` (immutable, so callers share it safely)."""
+    return walk(f).subformulas
 
 
 def canonical_key(f: Formula) -> str:

@@ -21,7 +21,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -115,6 +115,13 @@ def product_profiles(agents: Sequence[str],
     each agent's actions rank by their order in its choices."""
     for combo in itertools.product(*choices):
         yield JointAction.of(dict(zip(agents, combo)))
+
+
+@lru_cache(maxsize=16)
+def full_profiles(agents: tuple[str, ...],
+                  actions: tuple[str, ...]) -> tuple[JointAction, ...]:
+    """``product_profiles`` over ``actions`` as one tuple shared per shape."""
+    return tuple(product_profiles(agents, [actions] * len(agents)))
 
 
 @dataclass(frozen=True, eq=True)
@@ -241,8 +248,7 @@ class GameModel:
 
     def profiles(self) -> tuple[JointAction, ...]:
         """All grand-coalition profiles, in binary-counter order."""
-        agents = self.universe.agents
-        return tuple(product_profiles(agents, [self.actions] * len(agents)))
+        return full_profiles(self.universe.agents, self.actions)
 
     def with_atoms(self, extra: Iterable[str]) -> GameModel:
         """The same model with additional declared atoms (labels unchanged)."""
@@ -367,8 +373,7 @@ def random_model(universe: AgentUniverse, n_states: int, n_actions: int,
     states = tuple(f"s{i}" for i in range(n_states))
     actions = tuple(f"x{i}" for i in range(n_actions))
     label = {s: frozenset(a for a in atoms if rng.random() < 0.5) for s in states}
-    agents = universe.agents
-    profiles = tuple(product_profiles(agents, [actions] * len(agents)))
+    profiles = full_profiles(universe.agents, actions)
     out_ag = {}
     for s in states:
         for profile in profiles:

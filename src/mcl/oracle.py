@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Formula, Neg, bot,
                       implies, lor, pretty)
-from .model import (GameModel, JointAction, classify, dumps, product_profiles,
+from .model import (GameModel, JointAction, classify, dumps, full_profiles,
                     random_cgm, random_model)
 from .semantics import PointedModel, eval_all
 from .decide import decide_valid
@@ -49,6 +49,8 @@ class SearchBounds:
             raise ValueError("bounds need at least one state and one action")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.n_samples < 0 or self.budget < 0:
+            raise ValueError("sample count and budget must not be negative")
 
 
 def enumerate_models(bounds: SearchBounds):
@@ -64,7 +66,7 @@ def enumerate_models(bounds: SearchBounds):
         states = tuple(f"s{i}" for i in range(n_states))
         for n_actions in range(1, bounds.max_actions + 1):
             actions = tuple(f"x{i}" for i in range(n_actions))
-            profiles = tuple(product_profiles(agents, [actions] * len(agents)))
+            profiles = full_profiles(agents, actions)
             edge_slots = [(s, p, t) for s in states for p in profiles for t in states]
             label_slots = [(s, a) for s in states for a in bounds.atoms]
             for out_mask in range(1 << len(edge_slots)):
@@ -241,6 +243,8 @@ class DifferentialConfig:
             raise ValueError("fuzzing needs at least one atom")
         if self.max_depth < 1:
             raise ValueError("fuzzing needs a maximum modal depth of at least 1")
+        if self.n_formulas < 0 or self.scheme_models < 0:
+            raise ValueError("formula and scheme-model counts must not be negative")
 
 
 def differential_run(config: DifferentialConfig) -> DifferentialReport:

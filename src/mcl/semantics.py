@@ -7,13 +7,14 @@ joint action of ``A`` there has all its outcome states satisfying ``phi``.
 thin wrappers over it.  All functions are pure.
 
 Columns are int bitsets over state indices (bit k is ``model.states[k]``),
-so ``~`` and ``&`` are single big-int operations.  Each call compiles the
-stored rows it needs: every row becomes an outcome mask, and for each
-distinct coalition ``A`` in the formula a state's rows are grouped by their
-projection onto ``A``, keeping the union of each group's outcomes.  ``<A>``
-then holds where some group's mask is a subset of the child's column.  A
-call costs O(stored rows x distinct coalitions) plus O(|f|) big-int
-operations, never walks the profile space, and caches nothing on the model.
+so ``~`` and ``&`` are single big-int operations.  The formula is compiled
+once per formula object (``formula.walk``); the row index is built per call:
+every stored row becomes an outcome mask, and for each distinct coalition
+``A`` in the formula a state's rows are grouped by their projection onto
+``A``, keeping the union of each group's outcomes.  ``<A>`` then holds where
+some group's mask is a subset of the child's column.  A call costs O(stored
+rows x distinct coalitions) plus O(|f|) big-int operations, never walks the
+profile space, and caches nothing on the model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .formula import (AgentUniverse, And, Atom, Can, Coalition, Formula, Neg,
-                      Top, atoms_of, coalitions_of, subformulas)
+                      atoms_of, coalitions_of, subformulas, walk)
 from .model import GameModel, JointAction
 
 # per state, in ``model.states`` order: (profile items, outcome mask) rows
@@ -43,7 +44,7 @@ class PointedModel:
 
 def check_compatible(model: GameModel, f: Formula) -> None:
     """Reject formulas with undeclared atoms or a different agent universe."""
-    missing = atoms_of(f) - set(model.atoms)
+    missing = atoms_of(f).difference(model.atoms)
     if missing:
         raise ValueError(f"atoms {sorted(missing)} are not declared in the model")
     for coalition in coalitions_of(f):
@@ -56,39 +57,33 @@ def eval_all(model: GameModel, f: Formula) -> dict[str, bool]:
     check_compatible(model, f)
     states = model.states
     full = (1 << len(states)) - 1
-    rows: _Rows | None = None
-    groups: dict[Coalition, list[tuple[int, ...]]] = {}
-    table: dict[Formula, int] = {}
-    for g in subformulas(f):
-        if isinstance(g, Top):
-            col = full
-        elif isinstance(g, Atom):
-            col = 0
-            for k, s in enumerate(states):
-                if g.name in model.label.get(s, ()):
-                    col |= 1 << k
-        elif isinstance(g, Neg):
-            col = full & ~table[g.child]
+    rows: _Rows = []  # one list per state, built at the first <A>
+    groups: dict[frozenset[str], list[tuple[int, ...]]] = {}
+    cols: list[int] = []  # cols[i] is the column of subformula i
+    for g, (x, y) in zip(subformulas(f), walk(f).slots):
+        if isinstance(g, Neg):
+            col = full & ~cols[x]
         elif isinstance(g, And):
-            col = table[g.left] & table[g.right]
+            col = cols[x] & cols[y]
         elif isinstance(g, Can):
-            if rows is None:
-                rows = _outcome_masks(model)
-            by_state = groups.get(g.coalition)
-            if by_state is None:
-                by_state = groups[g.coalition] = _group_masks(
-                    rows, model.universe, g.coalition.members)
-            outside = ~table[g.child]
+            members = g.coalition.members
+            if members not in groups:
+                rows = rows or _outcome_masks(model)
+                groups[members] = _group_masks(rows, model.universe, members)
+            outside = ~cols[x]
             col = 0
-            for k, masks in enumerate(by_state):
+            for k, masks in enumerate(groups[members]):
                 for mask in masks:
                     if not mask & outside:
                         col |= 1 << k
                         break
+        elif isinstance(g, Atom):
+            col = sum(1 << k for k, s in enumerate(states)
+                      if g.name in model.label.get(s, ()))
         else:
-            raise TypeError(f"not a core formula: {g!r}")
-        table[g] = col
-    column = table[f]
+            col = full
+        cols.append(col)
+    column = cols[-1]
     return {s: bool(column >> k & 1) for k, s in enumerate(states)}
 
 

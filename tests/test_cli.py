@@ -121,6 +121,10 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "0",
      "--scheme-models", "1"),
     ("fuzz", "--agents", "a", "--depth", "0"),
+    # negative counts
+    ("fuzz", "--agents", "a", "--formulas", "-2"),
+    ("fuzz", "--agents", "a", "--formulas", "1", "--samples", "-1"),
+    ("fuzz", "--agents", "a", "--scheme-models", "-3"),
 ])
 def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -7,8 +9,9 @@ from hypothesis import given, strategies as st
 
 import mcl
 from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, ParseError, Top,
-                 bot, box, canonical_key, dia, dual, implies, lor, modal_depth,
-                 parse, pretty)
+                 atoms_of, bot, box, canonical_key, coalitions_of, dia, dual,
+                 implies, lor, modal_depth, parse, pretty, subformulas)
+from mcl.formula import walk
 
 
 def test_parse_constants(ab):
@@ -206,6 +209,33 @@ def test_can_nodes_over_different_coalitions_differ(ab):
             assert (x == y) == (i == j)
     assert Can(ab.coalition("a"), child) == Can(ab.coalition("a"), And(Atom("p"), Neg(Atom("q"))))
     assert Atom("p") != "p" and TOP != None  # noqa: E711
+
+
+def test_copies_drop_the_cached_measures(ab):
+    f = parse("<{a}>(p & ~<{a,b}>q) | [{b}]r", ab)
+    measures = walk(f)
+    assert "_walk" in vars(f)
+    for copy_of in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        g = copy_of(f)
+        assert g is not f and g == f and hash(g) == hash(f)
+        assert "_walk" not in vars(g)
+        assert walk(g) == measures
+
+
+@pytest.mark.parametrize("measure", [modal_depth, atoms_of, coalitions_of, subformulas])
+@pytest.mark.parametrize("value", ["p", None, type("Node", (), {})()])
+def test_measures_of_a_non_formula_raise_type_error(measure, value):
+    with pytest.raises(TypeError):
+        measure(value)
+
+
+def test_cached_subformulas_cannot_be_mutated(ab):
+    f = parse("(p & q) | <{a}>(p & q)", ab)
+    subs = subformulas(f)
+    assert isinstance(subs, tuple) and subformulas(f) is subs
+    assert subs[-1] is f and len(subs) == len(set(subs))
+    with pytest.raises(AttributeError):
+        subs.append(TOP)
 
 
 _PICKLE_SCRIPT = """

@@ -4,9 +4,9 @@ import pytest
 
 from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, JointAction,
                  Neg, PointedModel, Top, box, dia, dual, ensures, eval_all,
-                 holds, implies, lor, parse, random_cgm, random_formula,
-                 random_model)
-from mcl.formula import subformulas
+                 holds, implies, lor, modal_depth, parse, random_cgm,
+                 random_formula, random_model)
+from mcl.formula import Formula, subformulas, walk
 
 
 def ja(**kwargs):
@@ -170,6 +170,55 @@ def test_eval_all_matches_the_dict_column_reference_at_scale():
             assert list(column) == list(m.states)
             assert column == _dict_column_eval_all(m, f)
     assert wide >= 5 and dead_ends >= 5 and nondeterministic >= 5
+
+
+def test_reused_formula_objects_match_the_dict_column_reference():
+    # the same formula objects go through every model, so each column after
+    # the first comes from the program cached on the formula
+    fs = _every_coalition_formulas(random.Random(77), ABC)
+    models = [m for _, m in _scale_models()]
+    assert len(models) >= 40 and sum(len(m.states) > 64 for m in models) >= 5
+    for m in models:
+        for f in fs:
+            assert eval_all(m, f) == _dict_column_eval_all(m, f)
+
+
+def test_repeated_eval_all_does_not_walk_the_formula_again(monkeypatch, ab):
+    f = parse("<{a}>(p & ~<{a,b}>q) | [{b}](p & ~<{a,b}>q)", ab)
+    m = random_model(ab, 4, 2, 0.5, seed=3)
+    first = eval_all(m, f)
+    measures = walk(f)
+
+    def no_hash(self):
+        raise AssertionError("formula walked again")
+
+    # a walk deduplicates subformulas by equality, so it hashes every node
+    monkeypatch.setattr(Formula, "__hash__", no_hash)
+    assert eval_all(m, f) == first
+    assert walk(f) is measures and subformulas(f) is measures.subformulas
+
+
+def test_eval_all_on_a_deep_negation_chain(ab):
+    m = random_model(ab, 5, 2, 0.5, seed=8)
+    f = Atom("p")
+    for _ in range(10_000):
+        f = Neg(f)
+    assert eval_all(m, f) == eval_all(m, Atom("p"))
+
+
+def test_eval_all_on_a_deep_coalition_chain(ab):
+    m = random_model(ab, 5, 2, 0.4, seed=12)
+    a = ab.coalition("a")
+    f = Atom("p")
+    for _ in range(10_000):
+        f = Can(a, f)
+    assert modal_depth(f) == 10_000
+    # reference: iterate <{a}> over explicit outcome sets, no recursion
+    moves = {s: [m.out(a, s, act) for act in m.av(a, s)] for s in m.states}
+    truth = {s for s in m.states if "p" in m.label[s]}
+    for _ in range(10_000):
+        truth = {s for s in m.states if any(out <= truth for out in moves[s])}
+    assert eval_all(m, f) == {s: s in truth for s in m.states}
 
 
 def test_eval_all_does_not_walk_profiles(monkeypatch, one_mask, two_masks):
