@@ -201,7 +201,7 @@ def cmd_countermodel(args) -> int:
     f, universe = _formula(args)
     verdict = decide_valid(f, universe)
     if verdict.valid:
-        print("formula is valid; no countermodel exists", file=sys.stderr)
+        print("error: formula is valid; no countermodel exists", file=sys.stderr)
         return 1
     path = _emit_model(verdict.countermodel, args.out)
     if args.format == "json":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import partial, reduce
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -370,132 +371,94 @@ def canonical_key(f: Formula) -> str:
 #   coal := "{" (ident ("," ident)*)? "}"
 #
 # "~" and the modalities bind tightest, then "&", "|", "->" (right
-# associative), "<->".  "[A]phi" is the dual of "<A>phi".
+# associative), "<->".  "[A]phi" is the dual of "<A>phi".  The four binary
+# levels are the table ``_BINARY``, loosest first, which one parser method
+# walks; a chain of prefix operators is read in a loop.
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = ("<->", "->", "|", "&", "~", "<", ">", "[", "]", "{", "}", "(", ")", ",")
+# an identifier, punctuation (longest first), or any other non-space
+# character, which is an error; ``\s`` is exactly ``str.isspace``
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(<->|->|[|&~<>\[\]{}(),])|\S")
 _KEYWORDS = ("true", "false", "box", "dia")
+_BINARY = (("<->", iff), ("->", implies), ("|", lor), ("&", And))
+_PREFIX = ("~", "box", "dia", "<", "[")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, i))
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append((p, p, i))
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+    for m in _TOKEN_RE.finditer(text):
+        word, at = m.group(), m.start()
+        if m.lastindex is None:
+            raise ParseError(f"unexpected character {word!r}", at)
+        kind = "ident" if m.lastindex == 1 and word not in _KEYWORDS else word
+        tokens.append((kind, word, at))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, universe: AgentUniverse):
-        self.text = text
         self.universe = universe
-        self.tokens = _tokenize(text)
+        # the end marker's kind None matches no token kind
+        self.tokens = _tokenize(text) + [(None, "", len(text))]
         self.pos = 0
 
     def _peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def _here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][2]
-        return len(self.text)
+        return self.tokens[self.pos][0]
 
     def _take(self, kind: str) -> tuple[str, str, int]:
-        if self._peek() != kind:
-            raise ParseError(f"expected {kind!r}", self._here())
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}", tok[2])
         self.pos += 1
         return tok
 
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self._peek() == "<->":
-            self._take("<->")
-            f = iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disjunction()
-        if self._peek() == "->":
-            self._take("->")
-            return implies(f, self.imp())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self._peek() == "|":
-            self._take("|")
-            f = lor(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self._peek() == "&":
-            self._take("&")
-            f = And(f, self.unary())
-        return f
+    def binary(self, level: int = 0) -> Formula:
+        """The operators of ``_BINARY[level:]``; ``->`` groups to the right,
+        the others to the left."""
+        if level == len(_BINARY):
+            return self.unary()
+        op, build = _BINARY[level]
+        parts = [self.binary(level + 1)]
+        while self._peek() == op:
+            self.pos += 1
+            parts.append(self.binary(level + 1))
+        if op == "->":
+            return reduce(lambda right, left: build(left, right), reversed(parts))
+        return reduce(build, parts)
 
     def unary(self) -> Formula:
-        kind = self._peek()
-        if kind == "~":
-            self._take("~")
-            return Neg(self.unary())
-        if kind == "<":
-            self._take("<")
-            coal = self.coal()
-            self._take(">")
-            return Can(coal, self.unary())
-        if kind == "[":
-            self._take("[")
-            coal = self.coal()
-            self._take("]")
-            return dual(coal, self.unary())
-        if kind == "box":
-            self._take("box")
-            return box(self.universe, self.unary())
-        if kind == "dia":
-            self._take("dia")
-            return dia(self.universe, self.unary())
-        return self.atom()
+        wraps = []  # the prefix operators, outermost first
+        while (kind := self._peek()) in _PREFIX:
+            self.pos += 1
+            if kind == "~":
+                wraps.append(Neg)
+            elif kind == "box" or kind == "dia":
+                wraps.append(partial(box if kind == "box" else dia, self.universe))
+            else:
+                coal = self.coal()
+                self._take(">" if kind == "<" else "]")
+                wraps.append(partial(Can if kind == "<" else dual, coal))
+        f = self.atom()
+        for wrap in reversed(wraps):
+            f = wrap(f)
+        return f
 
     def atom(self) -> Formula:
-        kind = self._peek()
-        if kind == "true":
-            self._take("true")
-            return TOP
-        if kind == "false":
-            self._take("false")
-            return bot()
-        if kind == "ident":
-            _, name, _ = self._take("ident")
-            return Atom(name)
+        kind, word, at = self.tokens[self.pos]
         if kind == "(":
-            self._take("(")
-            f = self.formula()
+            self.pos += 1
+            f = self.binary()
             self._take(")")
             return f
-        raise ParseError("expected a formula", self._here())
+        if kind == "true":
+            f = TOP
+        elif kind == "false":
+            f = bot()
+        elif kind == "ident":
+            f = Atom(word)
+        else:
+            raise ParseError("expected a formula", at)
+        self.pos += 1
+        return f
 
     def coal(self) -> Coalition:
         self._take("{")
@@ -508,7 +471,7 @@ class _Parser:
                 members.append(name)
                 if self._peek() != ",":
                     break
-                self._take(",")
+                self.pos += 1
         self._take("}")
         return self.universe.coalition(*members)
 
@@ -537,12 +500,12 @@ def parse(text: str, universe: AgentUniverse) -> Formula:
     Raises ParseError on syntax errors, unknown agents, or empty input.
     """
     parser = _Parser(text, universe)
-    if not parser.tokens:
+    if len(parser.tokens) == 1:
         raise ParseError("empty input", 0)
-    f = parser.formula()
-    if parser.pos != len(parser.tokens):
-        raise ParseError(f"unexpected token {parser.tokens[parser.pos][1]!r}",
-                         parser.tokens[parser.pos][2])
+    f = parser.binary()
+    kind, word, at = parser.tokens[parser.pos]
+    if kind is not None:
+        raise ParseError(f"unexpected token {word!r}", at)
     return f
 
 

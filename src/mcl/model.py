@@ -21,7 +21,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -130,8 +130,8 @@ class GameModel:
 
     ``out_ag`` maps (state, full action profile) to the nonempty set of
     outcome states; pairs not present have no outcome and the profile is
-    unavailable there.  Instances are immutable; derived availability data
-    is cached lazily.
+    unavailable there.  Instances are immutable; the stored rows are grouped
+    by state and put in canonical order once, when the model is built.
     """
 
     universe: AgentUniverse
@@ -153,7 +153,8 @@ class GameModel:
         state_set = set(self.states)
         atom_set = set(self.atoms)
         action_set = set(self.actions)
-        agent_set = frozenset(self.universe.agents)
+        agents = self.universe.agents
+        agent_set = frozenset(agents)
         for s in self.states:
             marks = self.label.get(s, frozenset())
             if not marks <= atom_set:
@@ -163,6 +164,8 @@ class GameModel:
         if unknown_labels:
             raise ModelError(f"labels for unknown states {sorted(unknown_labels)}")
         cleaned = {}
+        rows: dict[str, list[tuple[JointAction, frozenset[str]]]] = {
+            s: [] for s in self.states}
         for (s, profile), targets in self.out_ag.items():
             if s not in state_set:
                 raise ModelError(f"transition from unknown state {s!r}")
@@ -175,24 +178,18 @@ class GameModel:
             if not targets <= state_set:
                 raise ModelError(f"unknown outcome states {sorted(targets - state_set)}")
             if targets:
-                cleaned[(s, profile)] = frozenset(targets)
+                targets = cleaned[(s, profile)] = frozenset(targets)
+                rows[s].append((profile, targets))
         object.__setattr__(self, "out_ag", cleaned)
+        # each state's rows in binary-counter order; profile items are sorted
+        # by agent name, so agent k of the universe sits at items[at[k]]
+        rank = {x: k for k, x in enumerate(self.actions)}
+        at = [sorted(agents).index(a) for a in agents]
+        object.__setattr__(self, "_rows", {
+            s: tuple(sorted(state_rows, key=lambda r: [rank[r[0].items[k][1]] for k in at]))
+            for s, state_rows in rows.items()})
 
     # -- derived structure ---------------------------------------------------
-
-    @cached_property
-    def _rows_by_state(self) -> dict[str, tuple[tuple[JointAction, frozenset[str]], ...]]:
-        rows: dict[str, list[tuple[JointAction, frozenset[str]]]] = {s: [] for s in self.states}
-        for (s, profile), targets in self.out_ag.items():
-            rows[s].append((profile, targets))
-        return {s: tuple(pairs) for s, pairs in rows.items()}
-
-    @cached_property
-    def _canonical_rows(self) -> dict[str, tuple[tuple[JointAction, frozenset[str]], ...]]:
-        rank = {x: k for k, x in enumerate(self.actions)}
-        agents = self.universe.agents
-        return {s: tuple(sorted(rows, key=lambda r: [rank[r[0].get(a)] for a in agents]))
-                for s, rows in self._rows_by_state.items()}
 
     def canonical_rows(self, state: str) -> tuple[tuple[JointAction, frozenset[str]], ...]:
         """The stored (profile, outcomes) rows of ``state`` in the
@@ -200,16 +197,15 @@ class GameModel:
         classification read this order, so their cost grows with the stored
         rows, not with the profile space."""
         self._check_state(state)
-        return self._canonical_rows[state]
+        return self._rows[state]
 
     def _check_state(self, state: str) -> None:
-        if state not in self._rows_by_state:
+        if state not in self._rows:
             raise ModelError(f"unknown state {state!r}")
 
     def available_profiles(self, state: str) -> frozenset[JointAction]:
         """Grand-coalition profiles with a nonempty outcome at ``state``."""
-        self._check_state(state)
-        return frozenset(p for p, _ in self._rows_by_state[state])
+        return frozenset(p for p, _ in self.canonical_rows(state))
 
     def outcome(self, state: str, profile: JointAction) -> frozenset[str]:
         """Stored outcome set of a full profile (empty if unavailable)."""
@@ -232,9 +228,8 @@ class GameModel:
         bad = {x for _, x in action.items} - set(self.actions)
         if bad:
             raise ModelError(f"undeclared actions {sorted(bad)}")
-        self._check_state(state)
         acc: frozenset[str] = frozenset()
-        for profile, targets in self._rows_by_state[state]:
+        for profile, targets in self.canonical_rows(state):
             if profile.extends(action):
                 acc |= targets
         return acc

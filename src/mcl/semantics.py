@@ -8,13 +8,14 @@ thin wrappers over it.  All functions are pure.
 
 Columns are int bitsets over state indices (bit k is ``model.states[k]``),
 so ``~`` and ``&`` are single big-int operations.  The formula is compiled
-once per formula object (``formula.walk``); the row index is built per call:
-every stored row becomes an outcome mask, and for each distinct coalition
-``A`` in the formula a state's rows are grouped by their projection onto
-``A``, keeping the union of each group's outcomes.  ``<A>`` then holds where
-some group's mask is a subset of the child's column.  A call costs O(stored
-rows x distinct coalitions) plus O(|f|) big-int operations, never walks the
-profile space, and caches nothing on the model.
+once per formula object (``formula.walk``), and the model groups and orders
+its rows once, when it is built (``GameModel.canonical_rows``).  The masks
+are built per call: every stored row becomes an outcome mask, and for each
+distinct coalition ``A`` in the formula a state's rows are grouped by their
+projection onto ``A``, keeping the union of each group's outcomes.  ``<A>``
+then holds where some group's mask is a subset of the child's column.  A call
+costs O(stored rows x distinct coalitions) plus O(|f|) big-int operations,
+never walks the profile space, and caches nothing on the model.
 """
 
 from __future__ import annotations
@@ -89,11 +90,10 @@ def eval_all(model: GameModel, f: Formula) -> dict[str, bool]:
 
 def _outcome_masks(model: GameModel) -> _Rows:
     bit = {s: 1 << k for k, s in enumerate(model.states)}
-    by_state = model._rows_by_state
     out = []
     for s in model.states:
         state_rows = []
-        for profile, targets in by_state[s]:
+        for profile, targets in model.canonical_rows(s):
             mask = 0
             for t in targets:
                 mask |= bit[t]

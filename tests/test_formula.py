@@ -52,18 +52,53 @@ def test_precedence(ab):
     assert parse("(p <-> q)", ab) == And(implies(p, q), implies(q, p))
 
 
-def test_parse_errors(ab):
-    with pytest.raises(ParseError):
-        parse("", ab)
+@pytest.mark.parametrize("text, message, position", [
+    ("", "empty input", 0),
+    ("   ", "empty input", 0),
+    ("$", "unexpected character '$'", 0),
+    ("p $ q", "unexpected character '$'", 2),
+    ("-p", "unexpected character '-'", 0),
+    ("1p", "unexpected character '1'", 0),
+    ("\u00e9", "unexpected character '\u00e9'", 0),
+    ("\ufeffp", "unexpected character '\\ufeff'", 0),
+    ("(p", "expected ')'", 2),
+    ("<{a b}>p", "expected '}'", 4),
+    ("<{a}p", "expected '>'", 4),
+    ("[{a}p", "expected ']'", 4),
+    ("<a>p", "expected '{'", 1),
+    ("<{a,}>p", "expected 'ident'", 4),
+    ("p & ", "expected a formula", 4),
+    (")", "expected a formula", 0),
+    ("p q", "unexpected token 'q'", 2),
+    ("<{c}>p", "unknown agent 'c'", 2),
+])
+def test_parse_errors(ab, text, message, position):
     with pytest.raises(ParseError) as exc:
-        parse("p & ", ab)
-    assert exc.value.position == 4
-    with pytest.raises(ParseError, match="unknown agent"):
-        parse("<{c}>p", ab)
-    with pytest.raises(ParseError):
-        parse("p q", ab)
-    with pytest.raises(ParseError):
-        parse("p $ q", ab)
+        parse(text, ab)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("space", ["\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c"])
+def test_unicode_whitespace_separates_tokens(ab, space):
+    assert parse(space + "p" + space + "&" + space + "q" + space, ab) == And(Atom("p"), Atom("q"))
+
+
+@pytest.mark.parametrize("prefix, wrap, depth", [
+    ("~", lambda ab, f: Neg(f), 0),
+    ("<{a}>", lambda ab, f: Can(ab.coalition("a"), f), 1),
+    ("[{a}]", lambda ab, f: dual(ab.coalition("a"), f), 1),
+    ("box ", box, 1),
+    ("dia ", dia, 1),
+], ids=["neg", "can", "dual", "box", "dia"])
+def test_deep_prefix_chains_parse_without_recursion(ab, prefix, wrap, depth):
+    n = 10_000
+    expected = Atom("p")
+    for _ in range(n):
+        expected = wrap(ab, expected)
+    f = parse(prefix * n + "p", ab)
+    assert f == expected
+    assert modal_depth(f) == depth * n
 
 
 def test_pretty_examples(ab):
