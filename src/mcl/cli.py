@@ -109,12 +109,12 @@ def cmd_depth(args) -> int:
 
 def cmd_nf(args) -> int:
     f, universe = _formula(args)
-    clauses = to_standard_conjunction(f, universe)
+    clauses = [c.render() for c in to_standard_conjunction(f, universe)]
     if args.format == "json":
-        print(json.dumps({"clauses": [c.render() for c in clauses]}))
+        print(json.dumps({"clauses": clauses}))
     else:
-        for c in clauses:
-            print(c.render())
+        for line in clauses:
+            print(line)
     return 0
 
 
@@ -158,6 +158,8 @@ def _emit_model(pm: PointedModel, path: str | None) -> str | None:
 def cmd_valid(args) -> int:
     f, universe = _formula(args)
     verdict = decide_valid(f, universe)
+    # rendered first: a trace that nests too deeply writes and prints nothing
+    trace = (_trace_json if args.format == "json" else _trace_text)(verdict.trace)
     path = None if verdict.valid else _emit_model(verdict.countermodel,
                                                   args.countermodel_out)
     if args.format == "json":
@@ -165,21 +167,21 @@ def cmd_valid(args) -> int:
             "verdict": "valid" if verdict.valid else "invalid",
             "countermodel_path": path,
             "countermodel_state": None if verdict.valid else verdict.countermodel.state,
-            "trace": _trace_json(verdict.trace),
+            "trace": trace,
         }))
     else:
-        print("VALID" if verdict.valid else "INVALID")
+        lines = ["VALID" if verdict.valid else "INVALID"]
         if not verdict.valid:
-            print(f"countermodel state: {verdict.countermodel.state}"
-                  + (f" (written to {path})" if path else ""))
-        for line in _trace_text(verdict.trace):
-            print(line)
+            lines.append(f"countermodel state: {verdict.countermodel.state}"
+                         + (f" (written to {path})" if path else ""))
+        print("\n".join(lines + trace))
     return 0
 
 
 def cmd_sat(args) -> int:
     f, universe = _formula(args)
     verdict = decide_sat(f, universe)
+    trace = _trace_json(verdict.trace) if args.format == "json" else None
     path = _emit_model(verdict.witness, args.witness_out) \
         if verdict.satisfiable else None
     if args.format == "json":
@@ -187,7 +189,7 @@ def cmd_sat(args) -> int:
             "verdict": "satisfiable" if verdict.satisfiable else "unsatisfiable",
             "countermodel_path": path,
             "witness_state": verdict.witness.state if verdict.satisfiable else None,
-            "trace": _trace_json(verdict.trace),
+            "trace": trace,
         }))
     else:
         print("SATISFIABLE" if verdict.satisfiable else "UNSATISFIABLE")
@@ -213,20 +215,16 @@ def cmd_countermodel(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    universe = _universe(args.agents)
-    atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip())
     bounds = SearchBounds(
-        universe=universe,
+        universe=_universe(args.agents),
         max_states=args.max_states,
         max_actions=args.max_actions,
-        atoms=atoms,
+        atoms=tuple(a.strip() for a in args.atoms.split(",") if a.strip()),
         mode="sampled",
         n_samples=args.samples,
         seed=args.seed,
     )
     config = DifferentialConfig(
-        universe=universe,
-        atoms=atoms,
         bounds=bounds,
         n_formulas=args.formulas,
         max_depth=args.depth,

@@ -1,9 +1,11 @@
 """Validity and satisfiability over general concurrent game models, with
 certified countermodels.
 
-A formula of modal depth 0 is valid exactly when it is a propositional
-tautology (any labelling is realized by some one-state model).  Deeper
-formulas are normalized; a standard clause is valid exactly when
+A formula of modal depth 0 is valid exactly when it holds at every
+one-state model, so it is decided by model-checking the one-state model of
+each labelling of its atoms in binary-counter order; the first model that
+refutes it is the countermodel.  Deeper formulas are normalized; a standard
+clause is valid exactly when
 
   (a) its gamma part is a tautology, or
   (b) some negative entry <A_i>phi_i and positive entry <B_j>psi_j with
@@ -24,6 +26,13 @@ profile lambda^(i,j) differs from sigma^i only in that a witness agent from
 A_i - B_j plays beta_(i,j) instead, and it leads everywhere.  Every verdict
 that reports "invalid" carries a countermodel on which the model checker
 confirms falsity.
+
+Verdicts are memoized per decision by the formula itself (its stored hash
+and iterative equality).  Nothing on the depth-0 path or in a clause settled
+without a pair reduction recurses, so those decide at any depth (``<{a}>``
+10^4 times before ``p``).  The normal form still recurses on Boolean
+structure above a modality, and the decider once per pair reduction, so
+both stay bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -31,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .formula import (AgentUniverse, And, Atom, Can, Formula, Neg,
-                      atoms_of, canonical_key, coalitions_of, conj, implies,
-                      modal_depth)
+# canonical_key stays imported: bench/spans.py patches decide.canonical_key
+from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of,
+                      canonical_key, coalitions_of, conj, implies, modal_depth)
 from .model import GameModel, JointAction, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          to_standard_conjunction)
@@ -112,48 +121,36 @@ def _check_universe(f: Formula, universe: AgentUniverse) -> None:
 
 
 def _decide(f: Formula, universe: AgentUniverse,
-            memo: dict[str, Verdict]) -> Verdict:
-    key = canonical_key(f)
-    hit = memo.get(key)
+            memo: dict[Formula, Verdict]) -> Verdict:
+    hit = memo.get(f)
     if hit is not None:
         return hit
 
-    if modal_depth(f) == 0:
+    if modal_depth(f) == 0:  # its countermodel was found by the model checker
         verdict = _decide_propositional(f, universe)
     else:
         verdict = _decide_modal(f, universe, memo)
+        if not verdict.valid:
+            pm = verdict.countermodel
+            model = pm.model.with_atoms(sorted(atoms_of(f)))
+            pm = PointedModel(model, pm.state)
+            if holds(pm, f):
+                raise CertificationError("countermodel does not refute the formula")
+            verdict = Verdict(False, pm, verdict.trace)
 
-    if not verdict.valid:
-        pm = verdict.countermodel
-        model = pm.model.with_atoms(sorted(atoms_of(f)))
-        pm = PointedModel(model, pm.state)
-        if holds(pm, f):
-            raise CertificationError("countermodel does not refute the formula")
-        verdict = Verdict(False, pm, verdict.trace)
-
-    memo[key] = verdict
+    memo[f] = verdict
     return verdict
 
 
 # -- propositional base case ----------------------------------------------------
 
-def _eval_prop(f: Formula, assignment: dict[str, bool]) -> bool:
-    if isinstance(f, Atom):
-        return assignment[f.name]
-    if isinstance(f, Neg):
-        return not _eval_prop(f.child, assignment)
-    if isinstance(f, And):
-        return _eval_prop(f.left, assignment) and _eval_prop(f.right, assignment)
-    return True  # Top
-
-
 def _decide_propositional(f: Formula, universe: AgentUniverse) -> Verdict:
     names = sorted(atoms_of(f))
     trace = (ClauseOutcome(None, "propositional"),)
     for mask in range(1 << len(names)):
-        assignment = {name: bool(mask >> k & 1) for k, name in enumerate(names)}
-        if not _eval_prop(f, assignment):
-            pm = _dead_end(universe, names, {n for n in names if assignment[n]})
+        pm = _dead_end(universe, names,
+                       [n for k, n in enumerate(names) if mask >> k & 1])
+        if not holds(pm, f):
             return Verdict(False, pm, trace)
     return Verdict(True, None, trace)
 
@@ -181,7 +178,7 @@ def pair_implication(sf: StandardFormula, i: int, j: int) -> Formula:
 
 
 def _decide_modal(f: Formula, universe: AgentUniverse,
-                  memo: dict[str, Verdict]) -> Verdict:
+                  memo: dict[Formula, Verdict]) -> Verdict:
     trace: list[ClauseOutcome] = []
     for sf in to_standard_conjunction(f, universe):
         outcome, refutations = _decide_clause(sf, universe, memo)
@@ -193,7 +190,7 @@ def _decide_modal(f: Formula, universe: AgentUniverse,
 
 
 def _decide_clause(sf: StandardFormula, universe: AgentUniverse,
-                   memo: dict[str, Verdict]
+                   memo: dict[Formula, Verdict]
                    ) -> tuple[ClauseOutcome, list[PointedModel]]:
     """How the clause is settled, and for a refuted clause the countermodel
     of each failed pair reduction, in ``failed_pairs`` order."""

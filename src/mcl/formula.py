@@ -346,7 +346,7 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
 
 
 def canonical_key(f: Formula) -> str:
-    """Structural key with commutative conjunction sorted; used for memo tables."""
+    """Structural key with commutative conjunction sorted."""
     if isinstance(f, Top):
         return "T"
     if isinstance(f, Atom):

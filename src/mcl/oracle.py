@@ -227,11 +227,10 @@ class DifferentialConfig:
 
     ``n_formulas`` random formulas of modal depth up to ``max_depth`` are
     decided and cross-checked against the bounded search; ``scheme_models``
-    sampled models get the classic axiom-instance separation check.
+    sampled models get the classic axiom-instance separation check.  The
+    agent universe and the atoms are those of ``bounds``.
     """
 
-    universe: AgentUniverse
-    atoms: tuple[str, ...]
     bounds: SearchBounds
     n_formulas: int = 0
     max_depth: int = 2
@@ -239,7 +238,7 @@ class DifferentialConfig:
     scheme_models: int = 0
 
     def __post_init__(self):
-        if not self.atoms:
+        if not self.bounds.atoms:
             raise ValueError("fuzzing needs at least one atom")
         if self.max_depth < 1:
             raise ValueError("fuzzing needs a maximum modal depth of at least 1")
@@ -250,11 +249,11 @@ class DifferentialConfig:
 def differential_run(config: DifferentialConfig) -> DifferentialReport:
     report = DifferentialReport()
     rng = random.Random(config.seed)
-    universe = config.universe
+    universe = config.bounds.universe
 
     for k in range(config.n_formulas):
         depth = rng.randint(1, config.max_depth)
-        f = random_formula(rng, universe, config.atoms, depth)
+        f = random_formula(rng, universe, config.bounds.atoms, depth)
         report.formulas_checked += 1
         verdict = decide_valid(f, universe)
         if verdict.valid:
@@ -305,25 +304,26 @@ def _axiom_instances(universe: AgentUniverse, atoms: tuple[str, ...]):
 
 def _scheme_separation(config: DifferentialConfig,
                        report: DifferentialReport) -> None:
-    instances = _axiom_instances(config.universe, config.atoms)
+    bounds = config.bounds
+    instances = _axiom_instances(bounds.universe, bounds.atoms)
     for k in range(config.scheme_models):
         rng = random.Random(config.seed * 9_973 + k)
         if k % 2:  # alternate free-form models with guaranteed CGMs
             model = random_cgm(
-                config.universe,
-                n_states=rng.randint(1, config.bounds.max_states),
-                n_actions=rng.randint(1, config.bounds.max_actions),
+                bounds.universe,
+                n_states=rng.randint(1, bounds.max_states),
+                n_actions=rng.randint(1, bounds.max_actions),
                 seed=rng.randrange(2 ** 32),
-                atoms=config.atoms,
+                atoms=bounds.atoms,
             )
         else:
             model = random_model(
-                config.universe,
-                n_states=rng.randint(1, config.bounds.max_states),
-                n_actions=rng.randint(1, config.bounds.max_actions),
+                bounds.universe,
+                n_states=rng.randint(1, bounds.max_states),
+                n_actions=rng.randint(1, bounds.max_actions),
                 density=rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)),
                 seed=rng.randrange(2 ** 32),
-                atoms=config.atoms,
+                atoms=bounds.atoms,
             )
         report.scheme_models_checked += 1
         summary = classify(model)

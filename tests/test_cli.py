@@ -125,11 +125,29 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     ("fuzz", "--agents", "a", "--formulas", "-2"),
     ("fuzz", "--agents", "a", "--formulas", "1", "--samples", "-1"),
     ("fuzz", "--agents", "a", "--scheme-models", "-3"),
+    # the first clause renders, the second nests too deeply for the printer
+    ("nf", "--agents", "a", "--formula", "p | (<{a}>q & " + "<{a}>" * 3000 + "r)"),
 ])
 def test_deep_nesting_exits_1_without_traceback(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 1
+    assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("valid", "--formula", "<{a}>" * 3000 + "p", "--countermodel-out"),
+    ("valid", "--formula", "<{a}>" * 3000 + "p", "--format", "json",
+     "--countermodel-out"),
+    ("sat", "--formula", "~" + "<{a}>" * 3000 + "p", "--format", "json",
+     "--witness-out"),
+])
+def test_deep_trace_writes_no_model(capsys, tmp_path, argv):
+    # deciding succeeds; rendering the trace nests too deeply
+    target = tmp_path / "model.json"
+    code, out, _ = run(capsys, *argv, str(target))
+    assert (code, out) == (1, "")
+    assert not target.exists()
 
 
 def test_certification_failure_exits_3(capsys, monkeypatch):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, build_countermodel,
-                 build_countermodel_detailed, classify, decide_sat,
-                 decide_valid, dumps, holds, hub_facts, implies, loads, lor,
-                 modal_depth, parse, to_standard_conjunction)
-from mcl.oracle import random_formula
+from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
+                 atoms_of, build_countermodel, build_countermodel_detailed,
+                 classify, decide_sat, decide_valid, dumps, holds, hub_facts,
+                 implies, loads, lor, modal_depth, parse,
+                 to_standard_conjunction)
+from mcl.oracle import random_formula, random_propositional
 
 
 def valid(text, u):
@@ -111,6 +112,63 @@ def test_trace_records_the_decision_path(ab):
     assert v.trace[0].failed_pairs == ()
     v = decide_valid(parse("p & ~p", ab), ab)
     assert v.trace[0].case == "propositional"
+
+
+# -- depth 0 and deep inputs -------------------------------------------------------------
+
+def _eval_prop(f, assignment):
+    if isinstance(f, Atom):
+        return assignment[f.name]
+    if isinstance(f, Neg):
+        return not _eval_prop(f.child, assignment)
+    if isinstance(f, And):
+        return _eval_prop(f.left, assignment) and _eval_prop(f.right, assignment)
+    return True  # Top
+
+
+def _truth_table(f, universe):
+    """Reference decider for depth 0: the first falsifying assignment in
+    binary-counter order over the sorted atoms, as a one-state dead end."""
+    names = sorted(atoms_of(f))
+    for mask in range(1 << len(names)):
+        assignment = {name: bool(mask >> k & 1) for k, name in enumerate(names)}
+        if not _eval_prop(f, assignment):
+            label = frozenset(n for n in names if assignment[n])
+            return GameModel(universe, tuple(names), ("idle",), ("s0",),
+                             {"s0": label}, {})
+    return None
+
+
+def test_propositional_verdicts_match_the_truth_table(ab):
+    atom_counts = set()
+    closed = set()  # verdicts of formulas whose leaves are all true or false
+    for k in range(600):
+        rng = random.Random(f"prop:{k}")
+        pool = ("p", "q", "r", "s")[:rng.randint(1, 4)]
+        f = random_propositional(rng, pool, rng.randint(1, 16))
+        expected = _truth_table(f, ab)
+        v = decide_valid(f, ab)
+        assert v.valid == (expected is None)
+        if expected is not None:
+            assert v.countermodel.state == "s0"
+            assert dumps(v.countermodel.model) == dumps(expected)
+        atom_counts.add(len(atoms_of(f)))
+        if not atoms_of(f):
+            closed.add(v.valid)
+    assert atom_counts == {0, 1, 2, 3, 4}
+    assert closed == {True, False}
+
+
+def test_deep_modal_chain_is_refuted_by_one_state(ab):
+    f = parse("<{a}>" * 10_000 + "p", ab)
+    v = decide_valid(f, ab)
+    assert not v.valid
+    assert len(v.countermodel.model.states) == 1
+    assert not holds(v.countermodel, f)
+
+
+def test_deep_negation_chain_is_valid(ab):
+    assert decide_valid(parse("~" * 20_000 + "(p | ~p)", ab), ab).valid
 
 
 # -- the grafted construction -----------------------------------------------------------

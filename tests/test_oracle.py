@@ -144,7 +144,7 @@ def _config(ab, **overrides):
     bounds = SearchBounds(universe=ab, max_states=3, max_actions=2,
                           atoms=("p", "q"), mode="sampled",
                           n_samples=300, seed=5)
-    base = dict(universe=ab, atoms=("p", "q"), bounds=bounds,
+    base = dict(bounds=bounds,
                 n_formulas=0, max_depth=2, seed=5, scheme_models=0)
     base.update(overrides)
     return DifferentialConfig(**base)
