@@ -158,7 +158,6 @@ def _emit_model(pm: PointedModel, path: str | None) -> str | None:
 def cmd_valid(args) -> int:
     f, universe = _formula(args)
     verdict = decide_valid(f, universe)
-    # rendered first: a trace that nests too deeply writes and prints nothing
     trace = (_trace_json if args.format == "json" else _trace_text)(verdict.trace)
     path = None if verdict.valid else _emit_model(verdict.countermodel,
                                                   args.countermodel_out)
@@ -228,7 +227,6 @@ def cmd_fuzz(args) -> int:
         bounds=bounds,
         n_formulas=args.formulas,
         max_depth=args.depth,
-        seed=args.seed,
         scheme_models=args.scheme_models,
     )
     report = differential_run(config)

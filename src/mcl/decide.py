@@ -28,11 +28,11 @@ that reports "invalid" carries a countermodel on which the model checker
 confirms falsity.
 
 Verdicts are memoized per decision by the formula itself (its stored hash
-and iterative equality).  Nothing on the depth-0 path or in a clause settled
-without a pair reduction recurses, so those decide at any depth (``<{a}>``
-10^4 times before ``p``).  The normal form still recurses on Boolean
-structure above a modality, and the decider once per pair reduction, so
-both stay bounded by Python's recursion limit.
+and iterative equality).  The normal form, the depth-0 path and a clause
+settled without a pair reduction all work on explicit stacks, so those
+decide at any depth (``~`` 10^4 times before ``<{a}>p``).  Only the decider
+recurses, once per pair reduction, so chains of pair reductions stay
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -107,11 +107,9 @@ def decide_sat(f: Formula, universe: AgentUniverse) -> SatVerdict:
     satisfiable) is the countermodel of ``~f``."""
     _check_universe(f, universe)
     verdict = _decide(Neg(f), universe, {})
-    witness = verdict.countermodel
-    if not verdict.valid:
-        if not holds(witness, f):
-            raise CertificationError("witness does not satisfy the formula")
-    return SatVerdict(not verdict.valid, witness, verdict.trace)
+    # certified: ~f is false at the witness, and eval_all computed f's
+    # column as the child of ~f
+    return SatVerdict(not verdict.valid, verdict.countermodel, verdict.trace)
 
 
 def _check_universe(f: Formula, universe: AgentUniverse) -> None:
@@ -130,13 +128,8 @@ def _decide(f: Formula, universe: AgentUniverse,
         verdict = _decide_propositional(f, universe)
     else:
         verdict = _decide_modal(f, universe, memo)
-        if not verdict.valid:
-            pm = verdict.countermodel
-            model = pm.model.with_atoms(sorted(atoms_of(f)))
-            pm = PointedModel(model, pm.state)
-            if holds(pm, f):
-                raise CertificationError("countermodel does not refute the formula")
-            verdict = Verdict(False, pm, verdict.trace)
+        if not verdict.valid and holds(verdict.countermodel, f):
+            raise CertificationError("countermodel does not refute the formula")
 
     memo[f] = verdict
     return verdict
@@ -184,7 +177,8 @@ def _decide_modal(f: Formula, universe: AgentUniverse,
         outcome, refutations = _decide_clause(sf, universe, memo)
         trace.append(outcome)
         if outcome.case == "refuted":
-            pm, _ = _graft_countermodel(outcome, refutations, universe)
+            pm, _ = _graft_countermodel(outcome, refutations, universe,
+                                        sorted(atoms_of(f)))
             return Verdict(False, pm, tuple(trace))
     return Verdict(True, None, tuple(trace))
 
@@ -228,7 +222,7 @@ def build_countermodel_detailed(sf: StandardFormula,
     outcome, refutations = _decide_clause(sf, universe, {})
     if outcome.case != "refuted":
         raise ValueError("clause is valid; no countermodel exists")
-    return _graft_countermodel(outcome, refutations, universe)
+    return _graft_countermodel(outcome, refutations, universe, ())
 
 
 def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
@@ -238,15 +232,19 @@ def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
 
 
 def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
-                        universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
+                        universe: AgentUniverse, extra_atoms: Iterable[str]
+                        ) -> tuple[PointedModel, GameForm | None]:
     """Graft the refuted clause ``outcome.clause`` from the countermodels of
-    its failed pairs (``refutations``, in ``outcome.failed_pairs`` order)."""
+    its failed pairs (``refutations``, in ``outcome.failed_pairs`` order).
+    The model declares the ``extra_atoms`` it lacks after its own."""
     sf = outcome.clause
     clause = sf.to_formula()  # one object, so its measures are walked once
     hub_label = _falsifying_label(sf)
+    atoms: list[str] = sorted(atoms_of(clause))
 
     if not sf.ni:
-        pm = _dead_end(universe, sorted(atoms_of(clause)), hub_label)
+        atoms.extend(a for a in extra_atoms if a not in atoms)
+        pm = _dead_end(universe, atoms, hub_label)
         _certify_clause(pm, clause)
         return pm, None
 
@@ -286,7 +284,6 @@ def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
         out0=dict(hub_rows),
     )
 
-    atoms: list[str] = sorted(atoms_of(clause))
     actions: list[str] = list(hub_actions)
     states: list[str] = ["s0"]
     label: dict[str, frozenset[str]] = {"s0": hub_label}
@@ -298,6 +295,7 @@ def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
         states.extend(m.states)
         label.update(m.label)
         out_ag.update(m.out_ag)
+    atoms.extend(a for a in extra_atoms if a not in atoms)
 
     model = GameModel(universe, tuple(atoms), tuple(actions), tuple(states),
                       label, out_ag)

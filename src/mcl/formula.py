@@ -512,21 +512,29 @@ def parse(text: str, universe: AgentUniverse) -> Formula:
 # -- printing -----------------------------------------------------------------
 
 def pretty(f: Formula) -> str:
-    """Deterministic text for a core formula; ``parse(pretty(f)) == f``."""
-    return _render(f, 0)
+    """Deterministic text for a core formula; ``parse(pretty(f)) == f``.
 
-
-def _render(f: Formula, min_level: int) -> str:
-    # levels: 0 any, 3 "&" argument position, 4 unary operand
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Neg):
-        return "~" + _render(f.child, 4)
-    if isinstance(f, Can):
-        return "<" + f.coalition.render() + ">" + _render(f.child, 4)
-    if isinstance(f, And):
-        text = _render(f.left, 3) + " & " + _render(f.right, 4)
-        return "(" + text + ")" if min_level >= 4 else text
-    raise TypeError(f"not a core formula: {f!r}")
+    Pops (node, level) pairs, mixed with literal text, from one stack.
+    Levels: 0 any, 3 the left operand of "&", 4 a unary operand, where an
+    "&" gets parentheses."""
+    out: list[str] = []
+    todo: list[tuple[Formula, int] | str] = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, level = item
+        if isinstance(g, Top):
+            out.append("true")
+        elif isinstance(g, Atom):
+            out.append(g.name)
+        elif isinstance(g, (Neg, Can)):
+            out.append("~" if isinstance(g, Neg) else f"<{g.coalition.render()}>")
+            todo.append((g.child, 4))
+        elif isinstance(g, And):
+            operands = ((g.right, 4), " & ", (g.left, 3))
+            todo += (")", *operands, "(") if level >= 4 else operands
+        else:
+            raise TypeError(f"not a core formula: {g!r}")
+    return "".join(out)

@@ -245,14 +245,6 @@ class GameModel:
         """All grand-coalition profiles, in binary-counter order."""
         return full_profiles(self.universe.agents, self.actions)
 
-    def with_atoms(self, extra: Iterable[str]) -> GameModel:
-        """The same model with additional declared atoms (labels unchanged)."""
-        merged = list(self.atoms) + [a for a in extra if a not in self.atoms]
-        if merged == list(self.atoms):
-            return self
-        return GameModel(self.universe, tuple(merged), self.actions, self.states,
-                         dict(self.label), dict(self.out_ag))
-
 
 # -- classification ------------------------------------------------------------
 
@@ -501,6 +493,8 @@ def load(path: str) -> GameModel:
 
 def load_fixture(name: str) -> GameModel:
     """Load a bundled example model (``two_masks`` or ``one_mask``)."""
+    if "/" in name or "\\" in name or ".." in name:
+        raise ModelError(f"{name!r} is a path, not a bundled model name")
     ref = resources.files("mcl") / "fixtures" / f"{name}.json"
     try:
         text = ref.read_text(encoding="utf-8")

@@ -12,7 +12,8 @@ harmless: ``~<AG>false`` is valid, and any ``<A>phi`` already implies
 ``<{}>true``.
 
 The conversion treats maximal modal subformulas as opaque atoms, pushes
-negations to the literals, and distributes to CNF.  No fresh-variable
+negations to the literals, and distributes to CNF, all on an explicit
+stack, so Boolean structure of any depth converts.  No fresh-variable
 tricks: those are only equisatisfiable, which is unsound for validity
 clauses.  The exponential blowup of plain distribution is accepted at desk
 scale.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Collection
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Coalition, Formula,
                       Neg, Top, bot, conj, disj, implies, modal_depth, pretty)
@@ -68,12 +70,9 @@ class StandardFormula:
         cons = " | ".join(pretty(Can(c, g)) for c, g in self.pi)
         return f"{gamma_txt} | ({ant} -> {cons})"
 
-    def max_inner_depth(self) -> int:
-        return max(modal_depth(g) for _, g in self.ni + self.pi)
-
     @property
     def depth(self) -> int:
-        return 1 + self.max_inner_depth()
+        return 1 + max(modal_depth(g) for _, g in self.ni + self.pi)
 
 
 @dataclass(frozen=True)
@@ -109,47 +108,42 @@ def gamma_is_tautology(gamma: tuple[Formula, ...]) -> bool:
 _Lit = tuple[bool, Formula]  # (polarity, leaf); leaf is Top, Atom, or Can
 
 
-def _cnf(f: Formula, positive: bool) -> list[list[_Lit]]:
-    """CNF of the propositional skeleton, treating Can nodes as leaves."""
-    if isinstance(f, (Top, Atom, Can)):
-        return [[(positive, f)]]
-    if isinstance(f, Neg):
-        return _cnf(f.child, not positive)
-    if isinstance(f, And):
-        left = _cnf(f.left, positive)
-        right = _cnf(f.right, positive)
-        if positive:
-            return left + right
-        return [c1 + c2 for c1 in left for c2 in right]
-    raise TypeError(f"not a core formula: {f!r}")
+def _cnf(f: Formula) -> list[dict[_Lit, None]]:
+    """CNF of the propositional skeleton, treating Can nodes as leaves, from
+    a stack of (subformula, polarity) pairs; ``None`` marks an ``And`` whose
+    operand results top ``done``.  Or-ing clauses is a dict union, which
+    keeps the first of duplicate literals; a false leaf is the empty clause."""
+    todo: list[tuple[Formula | None, bool]] = [(f, True)]
+    done: list[list[dict[_Lit, None]]] = []
+    while todo:
+        g, positive = todo.pop()
+        if g is None:
+            right, left = done.pop(), done.pop()
+            done.append(left + right if positive
+                        else [c1 | c2 for c1 in left for c2 in right])
+        elif isinstance(g, Neg):
+            todo.append((g.child, not positive))
+        elif isinstance(g, And):
+            todo += ((None, positive), (g.right, positive), (g.left, positive))
+        elif isinstance(g, Top) and not positive:
+            done.append([{}])
+        elif isinstance(g, (Top, Atom, Can)):
+            done.append([{(positive, g): None}])
+        else:
+            raise TypeError(f"not a core formula: {g!r}")
+    return done[0]
 
 
-def _literal_depth(lit: _Lit) -> int:
-    _, leaf = lit
-    return modal_depth(leaf)
+def _clause_depth(clause: Collection[_Lit]) -> int:
+    return max((modal_depth(leaf) for _, leaf in clause), default=0)
 
 
-def _clause_depth(clause: list[_Lit]) -> int:
-    return max((_literal_depth(lit) for lit in clause), default=0)
-
-
-def _dedup_clause(clause: list[_Lit]) -> list[_Lit]:
-    seen = set()
-    out = []
-    for lit in clause:
-        if lit == (False, TOP):
-            continue  # a false disjunct adds nothing
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    return out
-
-
-def _prune(clauses: list[list[_Lit]], target_depth: int) -> list[list[_Lit]]:
+def _prune(clauses: list[Collection[_Lit]],
+           target_depth: int) -> list[Collection[_Lit]]:
     """Drop duplicate and absorbed clauses, but never let the maximal clause
     depth fall below ``target_depth`` (equivalence would survive, depth
     preservation would not)."""
-    unique: dict[frozenset[_Lit], list[_Lit]] = {}
+    unique: dict[frozenset[_Lit], Collection[_Lit]] = {}
     for clause in clauses:
         unique.setdefault(frozenset(clause), clause)
     # A clause survives when no other clause is a strict subset of it.  Such
@@ -168,7 +162,8 @@ def _prune(clauses: list[list[_Lit]], target_depth: int) -> list[list[_Lit]]:
     return survivors
 
 
-def _clause_to_standard(clause: list[_Lit], universe: AgentUniverse) -> StandardFormula:
+def _clause_to_standard(clause: Collection[_Lit],
+                        universe: AgentUniverse) -> StandardFormula:
     gamma: list[Formula] = []
     ni: list[tuple[Coalition, Formula]] = []
     pi: list[tuple[Coalition, Formula]] = []
@@ -200,6 +195,4 @@ def to_standard_conjunction(f: Formula,
     depth = modal_depth(f)
     if depth < 1:
         raise ValueError("normal form is defined for modal depth >= 1")
-    clauses = [_dedup_clause(c) for c in _cnf(f, True)]
-    clauses = _prune(clauses, depth)
-    return tuple(_clause_to_standard(c, universe) for c in clauses)
+    return tuple(_clause_to_standard(c, universe) for c in _prune(_cnf(f), depth))

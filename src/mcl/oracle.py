@@ -228,13 +228,12 @@ class DifferentialConfig:
     ``n_formulas`` random formulas of modal depth up to ``max_depth`` are
     decided and cross-checked against the bounded search; ``scheme_models``
     sampled models get the classic axiom-instance separation check.  The
-    agent universe and the atoms are those of ``bounds``.
+    agent universe, the atoms and the seed are those of ``bounds``.
     """
 
     bounds: SearchBounds
     n_formulas: int = 0
     max_depth: int = 2
-    seed: int = 0
     scheme_models: int = 0
 
     def __post_init__(self):
@@ -248,7 +247,7 @@ class DifferentialConfig:
 
 def differential_run(config: DifferentialConfig) -> DifferentialReport:
     report = DifferentialReport()
-    rng = random.Random(config.seed)
+    rng = random.Random(config.bounds.seed)
     universe = config.bounds.universe
 
     for k in range(config.n_formulas):
@@ -267,7 +266,7 @@ def differential_run(config: DifferentialConfig) -> DifferentialReport:
                 report.discrepancies.append(Discrepancy(
                     kind="valid-but-refuted", formula=pretty(f),
                     detail="bounded search found a countermodel for a VALID verdict",
-                    seed=config.seed, model_json=dumps(found.model),
+                    seed=config.bounds.seed, model_json=dumps(found.model),
                     state=found.state))
         else:
             report.invalid_count += 1
@@ -276,7 +275,7 @@ def differential_run(config: DifferentialConfig) -> DifferentialReport:
                 report.discrepancies.append(Discrepancy(
                     kind="invalid-uncertified", formula=pretty(f),
                     detail="countermodel does not refute the formula",
-                    seed=config.seed, model_json=dumps(pm.model), state=pm.state))
+                    seed=config.bounds.seed, model_json=dumps(pm.model), state=pm.state))
             else:
                 report.certified_countermodels += 1
 
@@ -307,7 +306,7 @@ def _scheme_separation(config: DifferentialConfig,
     bounds = config.bounds
     instances = _axiom_instances(bounds.universe, bounds.atoms)
     for k in range(config.scheme_models):
-        rng = random.Random(config.seed * 9_973 + k)
+        rng = random.Random(bounds.seed * 9_973 + k)
         if k % 2:  # alternate free-form models with guaranteed CGMs
             model = random_cgm(
                 bounds.universe,
@@ -336,4 +335,4 @@ def _scheme_separation(config: DifferentialConfig,
                 report.discrepancies.append(Discrepancy(
                     kind="scheme-separation", formula=pretty(instance),
                     detail=f"axiom instance fails although the model is {prop}",
-                    seed=config.seed, model_json=dumps(model), state=violated_at))
+                    seed=bounds.seed, model_json=dumps(model), state=violated_at))

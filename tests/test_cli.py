@@ -6,6 +6,7 @@ import pytest
 
 import mcl.cli
 import mcl.decide
+from mcl import PointedModel, dumps, holds, load_fixture, loads, parse, save
 from mcl.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -113,9 +114,12 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+_PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
+
+
 @pytest.mark.parametrize("argv", [
-    ("valid", "--agents", "a", "--formula", "<{a}>" * 3000 + "p"),
-    ("parse", "--agents", "a", "--formula", "~" * 3000 + "p"),
+    ("valid", "--agents", "a", "--formula", f"{_PAIR_CHAIN} -> {_PAIR_CHAIN}"),
+    ("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 3000),
     # fuzz configurations that cannot generate a formula
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "2"),
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "0",
@@ -125,8 +129,9 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     ("fuzz", "--agents", "a", "--formulas", "-2"),
     ("fuzz", "--agents", "a", "--formulas", "1", "--samples", "-1"),
     ("fuzz", "--agents", "a", "--scheme-models", "-3"),
-    # the first clause renders, the second nests too deeply for the printer
-    ("nf", "--agents", "a", "--formula", "p | (<{a}>q & " + "<{a}>" * 3000 + "r)"),
+    # the second conjunct nests too deeply for the parser
+    ("nf", "--agents", "a", "--formula",
+     "p | (<{a}>q & " + "(" * 3000 + "<{a}>r" + ")" * 3000 + ")"),
 ])
 def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -142,12 +147,35 @@ def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     ("sat", "--formula", "~" + "<{a}>" * 3000 + "p", "--format", "json",
      "--witness-out"),
 ])
-def test_deep_trace_writes_no_model(capsys, tmp_path, argv):
-    # deciding succeeds; rendering the trace nests too deeply
+def test_deep_trace_writes_its_model(capsys, tmp_path, argv):
     target = tmp_path / "model.json"
-    code, out, _ = run(capsys, *argv, str(target))
-    assert (code, out) == (1, "")
-    assert not target.exists()
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, err) == (0, "")
+    if "json" in argv:
+        payload = json.loads(out)
+        assert payload["countermodel_path"] == str(target)
+        state = payload.get("countermodel_state") or payload["witness_state"]
+        clause = payload["trace"][0]["clause"]
+    else:
+        lines = out.splitlines()
+        assert lines[:2] == ["INVALID", f"countermodel state: s0 (written to {target})"]
+        state, clause = "s0", lines[2].partition(": ")[2]
+    assert clause == "false | (true -> " + "<{a}>" * 3000 + "p | <{a}>~true)"
+    text = target.read_text(encoding="utf-8")
+    model = loads(text)
+    assert dumps(model) + "\n" == text
+    f = parse(argv[2], model.universe)
+    assert holds(PointedModel(model, state), f) == (argv[0] == "sat")
+
+
+def test_model_path_is_not_shadowed_by_a_json_sibling(capsys, tmp_path):
+    save(load_fixture("one_mask"), str(tmp_path / "m"))
+    save(load_fixture("two_masks"), str(tmp_path / "m.json"))
+    code, out, _ = run(capsys, "classify", "--model", str(tmp_path / "m"))
+    assert code == 0 and out.startswith("GCGM: not serial: s1")
+    code, out, _ = run(capsys, "mc", "--model", str(tmp_path / "m"),
+                       "--state", "s0", "--formula", "<{a,b}>(m_a & m_b)")
+    assert (code, out) == (0, "false\n")  # two_masks would say true
 
 
 def test_certification_failure_exits_3(capsys, monkeypatch):

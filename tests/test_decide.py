@@ -5,7 +5,7 @@ import pytest
 from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
                  atoms_of, build_countermodel, build_countermodel_detailed,
                  classify, decide_sat, decide_valid, dumps, holds, hub_facts,
-                 implies, loads, lor, modal_depth, parse,
+                 implies, loads, lor, modal_depth, parse, pretty,
                  to_standard_conjunction)
 from mcl.oracle import random_formula, random_propositional
 
@@ -169,6 +169,16 @@ def test_deep_modal_chain_is_refuted_by_one_state(ab):
 
 def test_deep_negation_chain_is_valid(ab):
     assert decide_valid(parse("~" * 20_000 + "(p | ~p)", ab), ab).valid
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001])
+def test_deep_negation_above_a_modality(ab, n):
+    f = parse("~" * n + "<{a}>p", ab)
+    short = parse("~" * (n % 2) + "<{a}>p", ab)
+    assert to_standard_conjunction(f, ab) == to_standard_conjunction(short, ab)
+    v = decide_valid(f, ab)
+    assert v == decide_valid(short, ab)
+    assert not v.valid and not holds(v.countermodel, f)
 
 
 # -- the grafted construction -----------------------------------------------------------
@@ -344,5 +354,37 @@ def test_axiom_scheme_spot_checks(ab):
 
 
 def pretty_fail(f):
-    from mcl import pretty
     return f"scheme judged invalid: {pretty(f)}"
+
+
+# -- metamorphic relations on seeded formulas -------------------------------------------
+
+@pytest.fixture(scope="module", params=[("a", "b"), ("a", "b", "c")],
+                ids=["ab", "abc"])
+def seeded_verdicts(request):
+    """1000 seeded formulas of modal depth 0-2 over the agents, and their
+    validity verdicts."""
+    u = AgentUniverse(request.param)
+    rng = random.Random(f"metamorphic:{','.join(u.agents)}")
+    formulas = [random_formula(rng, u, ("p", "q"), k % 3) for k in range(1000)]
+    return u, formulas, [decide_valid(f, u).valid for f in formulas]
+
+
+def test_conjunction_is_valid_iff_both_conjuncts_are(seeded_verdicts):
+    u, formulas, verdicts = seeded_verdicts
+    pairs = list(zip(range(0, 1000, 2), range(1, 1000, 2)))
+    valid_ones = [k for k, ok in enumerate(verdicts) if ok]
+    pairs += zip(valid_ones, valid_ones[1:])  # conjunctions that are valid
+    for i, j in pairs:
+        conjunction = decide_valid(And(formulas[i], formulas[j]), u).valid
+        assert conjunction == (verdicts[i] and verdicts[j]), (i, j)
+
+
+def test_verdicts_ignore_atom_names_and_agent_order(seeded_verdicts):
+    u, formulas, verdicts = seeded_verdicts
+    reversed_u = AgentUniverse(u.agents[::-1])
+    swap = str.maketrans("pq", "qp")  # no other token of pretty() has p or q
+    for f, expected in zip(formulas, verdicts):
+        text = pretty(f)
+        assert valid(text.translate(swap), u).valid == expected, text
+        assert valid(text, reversed_u).valid == expected, text

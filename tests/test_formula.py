@@ -115,6 +115,25 @@ def test_pretty_keeps_association(ab):
     assert pretty(Neg(And(p, q))) == "~(p & q)"
 
 
+def test_pretty_prints_deep_chains_without_recursion(ab):
+    n = 100_000
+    a = ab.coalition("a")
+    for prefix, wrap in (("~", Neg), ("<{a}>", lambda f: Can(a, f))):
+        f = Atom("p")
+        for _ in range(n):
+            f = wrap(f)
+        assert pretty(f) == prefix * n + "p"
+    # p0 & (p1 & (... & (p9999 & p10000)...)): every right operand is an &
+    # in operand position, so it is parenthesized
+    n = 10_000
+    f = Atom(f"p{n}")
+    for k in reversed(range(n)):
+        f = And(Atom(f"p{k}"), f)
+    expected = "p0 & " + "".join(f"(p{k} & " for k in range(1, n)) \
+        + f"p{n}" + ")" * (n - 1)
+    assert pretty(f) == expected
+
+
 def test_modal_depth_examples(ab):
     a = ab.coalition("a")
     b = ab.coalition("b")

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcl import (EMPTY_ACTION, AgentUniverse, GameModel, JointAction,
                  ModelError, classify, dumps, load_fixture, loads, oplus,
@@ -227,6 +229,35 @@ def test_duplicate_transition_rows_rejected(ab):
 def test_unknown_fixture():
     with pytest.raises(ModelError):
         load_fixture("three_masks")
+
+
+@pytest.mark.parametrize("name", ["/tmp/two_masks", "sub/one_mask",
+                                  "..\\fixtures\\one_mask", "../fixtures/one_mask"])
+def test_fixture_names_are_not_paths(name):
+    with pytest.raises(ModelError, match="is a path"):
+        load_fixture(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(agents=st.sampled_from([("a",), ("a", "b"), ("b", "a", "c")]),
+       seed=st.integers(0, 2 ** 32 - 1), cgm=st.booleans(),
+       n_states=st.integers(1, 3), n_actions=st.integers(1, 2),
+       density=st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+def test_json_round_trip_ignores_row_order(agents, seed, cgm, n_states,
+                                           n_actions, density):
+    u = AgentUniverse(agents)
+    m = (random_cgm(u, n_states, n_actions, seed) if cgm
+         else random_model(u, n_states, n_actions, density, seed))
+    text = dumps(m)
+    assert loads(text) == m and dumps(loads(text)) == text
+    rng = random.Random(seed)
+    rows = list(m.out_ag.items())
+    rng.shuffle(rows)
+    shuffled = GameModel(u, m.atoms, m.actions, m.states, m.label, dict(rows))
+    assert shuffled == m and dumps(shuffled) == text
+    doc = json.loads(text)
+    rng.shuffle(doc["transitions"])
+    assert loads(json.dumps(doc)) == m
 
 
 # -- canonical row order against a walk over every profile -------------------------------------

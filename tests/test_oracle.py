@@ -145,7 +145,7 @@ def _config(ab, **overrides):
                           atoms=("p", "q"), mode="sampled",
                           n_samples=300, seed=5)
     base = dict(bounds=bounds,
-                n_formulas=0, max_depth=2, seed=5, scheme_models=0)
+                n_formulas=0, max_depth=2, scheme_models=0)
     base.update(overrides)
     return DifferentialConfig(**base)
 
