@@ -2,10 +2,11 @@
 certified countermodels.
 
 A formula of modal depth 0 is valid exactly when it holds at every
-one-state model, so it is decided by model-checking the one-state model of
-each labelling of its atoms in binary-counter order; the first model that
-refutes it is the countermodel.  Deeper formulas are normalized; a standard
-clause is valid exactly when
+one-state model, so it is decided by model-checking the labellings of its
+atoms in binary-counter order, one dead-end state each: the first alone,
+then in models of 4, 8, 16, ... up to 256 states.  The one-state model of
+the first labelling that refutes it is the countermodel.  Deeper formulas
+are normalized; a standard clause is valid exactly when
 
   (a) its gamma part is a tautology, or
   (b) some negative entry <A_i>phi_i and positive entry <B_j>psi_j with
@@ -28,11 +29,13 @@ that reports "invalid" carries a countermodel on which the model checker
 confirms falsity.
 
 Verdicts are memoized per decision by the formula itself (its stored hash
-and iterative equality).  The normal form, the depth-0 path and a clause
-settled without a pair reduction all work on explicit stacks, so those
-decide at any depth (``~`` 10^4 times before ``<{a}>p``).  Only the decider
-recurses, once per pair reduction, so chains of pair reductions stay
-bounded by Python's recursion limit.
+and iterative equality), and pair verdicts also by their parts
+(phi_NI0, phi_i, psi_j), so each distinct pair goal is built and decided
+once per decision, however many clauses repeat it.  The normal form, the
+depth-0 path and a clause settled without a pair reduction all work on
+explicit stacks, so those decide at any depth (``~`` 10^4 times before
+``<{a}>p``).  Only the decider recurses, once per pair reduction, so chains
+of pair reductions stay bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of,
 from .model import GameModel, JointAction, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          to_standard_conjunction)
+from . import semantics
 from .semantics import PointedModel, holds
 
 
@@ -69,6 +73,10 @@ class Verdict:
     valid: bool
     countermodel: PointedModel | None
     trace: tuple[ClauseOutcome, ...]
+
+
+# one decision's verdicts, by formula and by pair parts (phi_NI0, phi_i, psi_j)
+_Memo = dict[Formula | tuple[Formula, Formula, Formula], Verdict]
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,7 @@ def _check_universe(f: Formula, universe: AgentUniverse) -> None:
             raise ValueError("formula mentions a different agent universe")
 
 
-def _decide(f: Formula, universe: AgentUniverse,
-            memo: dict[Formula, Verdict]) -> Verdict:
+def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> Verdict:
     hit = memo.get(f)
     if hit is not None:
         return hit
@@ -140,27 +147,30 @@ def _decide(f: Formula, universe: AgentUniverse,
 def _decide_propositional(f: Formula, universe: AgentUniverse) -> Verdict:
     names = sorted(atoms_of(f))
     trace = (ClauseOutcome(None, "propositional"),)
-    for mask in range(1 << len(names)):
-        pm = _dead_end(universe, names,
-                       [n for k, n in enumerate(names) if mask >> k & 1])
-        if not holds(pm, f):
-            return Verdict(False, pm, trace)
+    start, size, total = 0, 1, 1 << len(names)
+    while start < total:
+        masks = range(start, min(start + size, total))
+        labels = [frozenset(n for k, n in enumerate(names) if mask >> k & 1)
+                  for mask in masks]
+        model = _dead_ends(universe, names, labels)
+        # through the module, so tracing that wraps eval_all sees this call
+        column = semantics.eval_all(model, f)
+        for state, label in zip(model.states, labels):
+            if not column[state]:
+                if len(labels) > 1:  # a one-state block is the countermodel
+                    model = _dead_ends(universe, names, [label])
+                return Verdict(False, PointedModel(model, "s0"), trace)
+        start, size = masks.stop, min(max(2 * size, 4), 256)
     return Verdict(True, None, trace)
 
 
-def _dead_end(universe: AgentUniverse, atoms: Iterable[str],
-              label: Iterable[str]) -> PointedModel:
-    """A single dead-end state ``s0`` with the given label (no coalition has
-    an available joint action there)."""
-    model = GameModel(
-        universe=universe,
-        atoms=tuple(atoms),
-        actions=("idle",),
-        states=("s0",),
-        label={"s0": frozenset(label)},
-        out_ag={},
-    )
-    return PointedModel(model, "s0")
+def _dead_ends(universe: AgentUniverse, atoms: Iterable[str],
+               labels: list[Iterable[str]]) -> GameModel:
+    """A dead-end state ``s<k>`` labelled ``labels[k]`` for each k (no
+    coalition has an available joint action there)."""
+    states = tuple(f"s{k}" for k in range(len(labels)))
+    return GameModel(universe, tuple(atoms), ("idle",), states,
+                     dict(zip(states, map(frozenset, labels))), {})
 
 
 # -- modal case -------------------------------------------------------------------
@@ -170,8 +180,7 @@ def pair_implication(sf: StandardFormula, i: int, j: int) -> Formula:
     return implies(And(ni0(sf).phi, sf.ni[i][1]), sf.pi[j][1])
 
 
-def _decide_modal(f: Formula, universe: AgentUniverse,
-                  memo: dict[Formula, Verdict]) -> Verdict:
+def _decide_modal(f: Formula, universe: AgentUniverse, memo: _Memo) -> Verdict:
     trace: list[ClauseOutcome] = []
     for sf in to_standard_conjunction(f, universe):
         outcome, refutations = _decide_clause(sf, universe, memo)
@@ -183,20 +192,26 @@ def _decide_modal(f: Formula, universe: AgentUniverse,
     return Verdict(True, None, tuple(trace))
 
 
-def _decide_clause(sf: StandardFormula, universe: AgentUniverse,
-                   memo: dict[Formula, Verdict]
+def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
                    ) -> tuple[ClauseOutcome, list[PointedModel]]:
     """How the clause is settled, and for a refuted clause the countermodel
     of each failed pair reduction, in ``failed_pairs`` order."""
     if gamma_is_tautology(sf.gamma):
         return ClauseOutcome(sf, "gamma"), []
+    phi0 = ni0(sf).phi
     failed: list[tuple[int, int]] = []
     refutations: list[PointedModel] = []
-    for i, (coal_a, _) in enumerate(sf.ni):
-        for j, (coal_b, _) in enumerate(sf.pi):
+    for i, (coal_a, phi) in enumerate(sf.ni):
+        for j, (coal_b, psi) in enumerate(sf.pi):
             if not coal_a.issubset(coal_b):
                 continue
-            verdict = _decide(pair_implication(sf, i, j), universe, memo)
+            # the parts are the input's own subformulas, so equal keys are
+            # mostly identical and a hit builds no goal
+            key = (phi0, phi, psi)
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = _decide(pair_implication(sf, i, j),
+                                              universe, memo)
             if verdict.valid:
                 return ClauseOutcome(sf, "pair", pair=(i, j)), []
             failed.append((i, j))
@@ -244,7 +259,7 @@ def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
 
     if not sf.ni:
         atoms.extend(a for a in extra_atoms if a not in atoms)
-        pm = _dead_end(universe, atoms, hub_label)
+        pm = PointedModel(_dead_ends(universe, atoms, [hub_label]), "s0")
         _certify_clause(pm, clause)
         return pm, None
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -67,11 +67,11 @@ class AgentUniverse:
     def coalition(self, *members: str) -> Coalition:
         return Coalition(self, frozenset(members))
 
-    @property
+    @cached_property
     def grand(self) -> Coalition:
         return Coalition(self, frozenset(self.agents))
 
-    @property
+    @cached_property
     def empty(self) -> Coalition:
         return Coalition(self, frozenset())
 
@@ -98,7 +98,7 @@ class Coalition:
         return tuple(a for a in self.universe.agents if a in self.members)
 
     def _same_universe(self, other: Coalition) -> None:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise ValueError("coalitions belong to different universes")
 
     def union(self, other: Coalition) -> Coalition:

@@ -49,9 +49,9 @@ class StandardFormula:
                 raise ValueError(f"not a propositional literal: {lit!r}")
         if not self.pi:
             raise ValueError("the positive side must not be empty")
-        if (self.universe.grand, bot()) not in self.pi:
+        if not _has_entry(self.pi, self.universe.grand, bot()):
             raise ValueError("the positive side must contain <AG>false")
-        if self.ni and (self.universe.empty, TOP) not in self.ni:
+        if self.ni and not _has_entry(self.ni, self.universe.empty, TOP):
             raise ValueError("a nonempty negative side must contain <{}>true")
 
     def gamma_formula(self) -> Formula:
@@ -87,6 +87,15 @@ def ni0(sf: StandardFormula) -> Ni0Summary:
     indices = tuple(i for i, (c, _) in enumerate(sf.ni) if not c.members)
     phi = conj(sf.ni[i][1] for i in indices)
     return Ni0Summary(indices, phi)
+
+
+def _has_entry(side: Collection[tuple[Coalition, Formula]],
+               coalition: Coalition, goal: Formula) -> bool:
+    """Whether ``(coalition, goal)`` is an entry of ``side``.  The goals'
+    stored hashes are compared first, so most entries cost one int
+    comparison; an entry whose goal has none is compared whole."""
+    entry, key = (coalition, goal), goal._hash
+    return any(getattr(e[1], "_hash", key) == key and e == entry for e in side)
 
 
 def _is_gamma_literal(f: Formula) -> bool:
@@ -154,7 +163,7 @@ def _prune(clauses: list[Collection[_Lit]],
         minimal.update([key for key in group
                         if not any(small < key for small in minimal)])
     survivors = [c for key, c in unique.items() if key in minimal]
-    if max((_clause_depth(c) for c in survivors), default=0) < target_depth:
+    if all(_clause_depth(c) < target_depth for c in survivors):
         for c in unique.values():  # no survivor is this deep
             if _clause_depth(c) == target_depth:
                 survivors.append(c)
@@ -175,12 +184,10 @@ def _clause_to_standard(clause: Collection[_Lit],
             gamma.append(leaf)
         else:
             gamma.append(Neg(leaf))
-    falsum_pair = (universe.grand, bot())
-    if falsum_pair not in pi:
-        pi.append(falsum_pair)
-    top_pair = (universe.empty, TOP)
-    if ni and top_pair not in ni:
-        ni.append(top_pair)
+    if not _has_entry(pi, universe.grand, bot()):
+        pi.append((universe.grand, bot()))
+    if ni and not _has_entry(ni, universe.empty, TOP):
+        ni.append((universe.empty, TOP))
     return StandardFormula(universe, tuple(gamma), tuple(ni), tuple(pi))
 
 

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
-                 atoms_of, build_countermodel, build_countermodel_detailed,
-                 classify, decide_sat, decide_valid, dumps, holds, hub_facts,
-                 implies, loads, lor, modal_depth, parse, pretty,
-                 to_standard_conjunction)
+                 PointedModel, atoms_of, build_countermodel,
+                 build_countermodel_detailed, classify, decide_sat,
+                 decide_valid, dumps, holds, hub_facts, implies, loads, lor,
+                 modal_depth, parse, pretty, to_standard_conjunction)
+from mcl import decide
 from mcl.oracle import random_formula, random_propositional
 
 
@@ -157,6 +158,40 @@ def test_propositional_verdicts_match_the_truth_table(ab):
             closed.add(v.valid)
     assert atom_counts == {0, 1, 2, 3, 4}
     assert closed == {True, False}
+
+
+def _one_state_per_labelling(f, universe):
+    """Reference: model-check the one-state model of each labelling in
+    binary-counter order; the first that refutes ``f``, or None."""
+    names = sorted(atoms_of(f))
+    for mask in range(1 << len(names)):
+        label = frozenset(n for k, n in enumerate(names) if mask >> k & 1)
+        model = GameModel(universe, tuple(names), ("idle",), ("s0",),
+                          {"s0": label}, {})
+        if not holds(PointedModel(model, "s0"), f):
+            return model
+    return None
+
+
+@pytest.mark.parametrize("mask", [0, 3, 12, 13, 300, 511])
+def test_depth_zero_refutation_matches_one_state_per_labelling(ab, mask):
+    # false at exactly one labelling of p0..p8: the first one (checked
+    # alone), inside the blocks 1-4 and 253-508, at the end of 5-12, at the
+    # start of 13-28, or the very last one
+    lits = [f"p{k}" if mask >> k & 1 else f"~p{k}" for k in range(9)]
+    f = parse("~(" + " & ".join(lits) + ")", ab)
+    v = decide_valid(f, ab)
+    assert not v.valid and v.countermodel.state == "s0"
+    assert dumps(v.countermodel.model) == dumps(_one_state_per_labelling(f, ab))
+    s = decide_sat(Neg(f), ab)
+    assert s.satisfiable
+    assert dumps(s.witness.model) == dumps(v.countermodel.model)
+
+
+def test_depth_zero_valid_over_nine_atoms(ab):
+    f = parse("(" + " & ".join(f"p{k}" for k in range(9)) + ") -> p8", ab)
+    assert _one_state_per_labelling(f, ab) is None
+    assert decide_valid(f, ab).valid
 
 
 def test_deep_modal_chain_is_refuted_by_one_state(ab):
@@ -314,6 +349,38 @@ def test_repeated_subgoals_share_work(ab):
         parts = clause if parts is None else And(parts, clause)
     v = decide_valid(implies(parts, Can(ab.coalition("a"), p)), ab)
     assert not v.valid  # the q-atoms alone can satisfy the antecedent
+
+
+def _weak(n):
+    x = " | ".join(f"(<{{a}}>p{i} & <{{b}}>q{i})" for i in range(n))
+    y = " | ".join(f"(<{{a,b}}>p{i} & <{{b}}>q{i})" for i in range(n))
+    return f"({x}) -> ({y})"
+
+
+def test_each_distinct_pair_goal_is_built_once(ab, monkeypatch):
+    calls = []
+    build = decide.pair_implication
+    monkeypatch.setattr(decide, "pair_implication",
+                        lambda sf, i, j: calls.append((i, j)) or build(sf, i, j))
+    counts = []
+    for n in range(1, 8):
+        calls.clear()
+        assert valid(_weak(n), ab).valid
+        counts.append(len(calls))
+    assert counts == [3, 10, 21, 36, 55, 78, 105]
+
+
+def test_pair_verdicts_depend_on_phi_ni0(ab):
+    # both clauses have the pair <{a}>p -> <{a}>(p & q); only the first
+    # has q in phi_NI0, which makes that pair valid (r keeps the second
+    # clause from absorbing the first)
+    strong = "(<{a}>p & <{}>q) -> <{a}>(p & q)"
+    weak = "r | (<{a}>p -> <{a}>(p & q))"
+    for text in (f"({strong}) & ({weak})", f"({weak}) & ({strong})"):
+        v = valid(text, ab)
+        assert not v.valid
+        assert not holds(v.countermodel, parse(weak, ab))
+    assert valid(strong, ab).valid
 
 
 def test_verdicts_are_reproducible(ab):

@@ -170,6 +170,16 @@ def test_universe_and_coalitions():
 def test_coalitions_across_universes_do_not_mix(ab, solo):
     with pytest.raises(ValueError):
         ab.coalition("a").union(solo.coalition("a"))
+    with pytest.raises(ValueError):
+        solo.coalition("a").issubset(ab.grand)
+    twin = AgentUniverse.of("a", "b")  # equal to ab, but another object
+    assert ab.coalition("a").issubset(twin.grand)
+    assert ab.coalition("a").union(twin.coalition("b")) == ab.grand
+
+
+def test_grand_and_empty_coalitions_are_built_once(ab):
+    assert ab.grand is ab.grand and ab.empty is ab.empty
+    assert ab.grand.members == {"a", "b"} and not ab.empty.members
 
 
 def test_canonical_key_sorts_conjunction(ab):

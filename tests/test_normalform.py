@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mcl import (TOP, And, Atom, Can, Neg, StandardFormula, bot, eval_all,
-                 gamma_is_tautology, lor, modal_depth, ni0, parse,
+from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, StandardFormula, Top,
+                 bot, eval_all, gamma_is_tautology, lor, modal_depth, ni0, parse,
                  random_formula, random_model, to_standard_conjunction)
 from mcl.normalform import _clause_depth, _prune
 
@@ -61,6 +61,25 @@ def test_standard_formula_invariants_enforced(ab):
                         ((ab.grand, bot()),))  # nonempty ni without <{}>true
     with pytest.raises(ValueError):
         StandardFormula(ab, (Can(ab.grand, TOP),), (), ((ab.grand, bot()),))
+
+
+def test_padding_checks_on_unusual_entries(ab):
+    # an entry whose goal is not a formula is compared whole
+    StandardFormula(ab, (), (), ((ab.coalition("a"), "x"), (ab.grand, bot())))
+    with pytest.raises(ValueError):
+        StandardFormula(ab, (), (), ((ab.grand, "x"),))
+    # fresh paddings over an equal but distinct universe are found
+    twin = AgentUniverse.of("a", "b")
+    assert twin is not ab
+    sf = StandardFormula(ab, (),
+                         ((twin.coalition("a"), Atom("p")), (twin.empty, Top())),
+                         ((twin.grand, Neg(Top())),))
+    assert sf.pi[0][1] is not bot()
+    # a matching goal or a matching coalition alone is not the padding
+    with pytest.raises(ValueError):
+        StandardFormula(ab, (), (), ((ab.coalition("a"), bot()),))
+    with pytest.raises(ValueError):
+        StandardFormula(ab, (), ((ab.empty, Atom("p")),), ((ab.grand, bot()),))
 
 
 # -- ni0 -----------------------------------------------------------------------------
