@@ -4,9 +4,9 @@ certified countermodels.
 A formula of modal depth 0 is valid exactly when it holds at every
 one-state model, so it is decided by model-checking the labellings of its
 atoms in binary-counter order, one dead-end state each: the first alone,
-then in models of 4, 8, 16, ... up to 256 states.  The one-state model of
-the first labelling that refutes it is the countermodel.  Deeper formulas
-are normalized; a standard clause is valid exactly when
+then in models of 4, 8, 16, ... up to 256 states.  The first labelling that
+refutes it labels the one-state countermodel.  Deeper formulas are
+normalized; a standard clause is valid exactly when
 
   (a) its gamma part is a tautology, or
   (b) some negative entry <A_i>phi_i and positive entry <B_j>psi_j with
@@ -15,27 +15,26 @@ are normalized; a standard clause is valid exactly when
 where phi_NI0 conjoins the goals of the empty-coalition negative entries.
 The recursion strictly lowers modal depth, so it terminates.
 
-When a clause fails both cases, a refuting pointed model is assembled by
-grafting: one fresh hub state plays a one-round game whose outcomes are the
-entry states of sub-models, one per pair (i, j) with A_i a subset of B_j,
-each satisfying phi_NI0 & phi_i & ~psi_j.  The sub-models get disjoint
-state names but share action names: availability is derived per state, so
-a shared name never links two states.  At the hub,
-profile sigma^i has all agents play the action alpha_i and leads to the
-sub-models for row i; for every pair with A_i not a subset of B_j, a spoiler
-profile lambda^(i,j) differs from sigma^i only in that a witness agent from
-A_i - B_j plays beta_(i,j) instead, and it leads everywhere.  Every verdict
-that reports "invalid" carries a countermodel on which the model checker
-confirms falsity.
+When a clause fails both cases, a refuting pointed model is grafted: one
+fresh hub state plays a one-round game whose outcomes are the entry states
+of sub-models, one per pair (i, j) with A_i a subset of B_j, each
+satisfying phi_NI0 & phi_i & ~psi_j.  The k-th sub-model's states get the
+prefix ``g<k>.``; action names are shared, since availability is derived
+per state.  At the hub, profile sigma^i has all agents play the action
+alpha_i and leads to the sub-models for row i; for every pair with A_i not
+a subset of B_j, a spoiler profile lambda^(i,j) differs from sigma^i only
+in that a witness agent from A_i - B_j plays beta_(i,j) instead, and it
+leads everywhere.
 
-Verdicts are memoized per decision by the formula itself (its stored hash
-and iterative equality), and pair verdicts also by their parts
-(phi_NI0, phi_i, psi_j), so each distinct pair goal is built and decided
-once per decision, however many clauses repeat it.  The normal form, the
-depth-0 path and a clause settled without a pair reduction all work on
-explicit stacks, so those decide at any depth (``~`` 10^4 times before
-``<{a}>p``).  Only the decider recurses, once per pair reduction, so chains
-of pair reductions stay bounded by Python's recursion limit.
+Refutations are memoized unassembled, per decision, by the formula itself
+(its stored hash and iterative equality) and for pair goals also by their
+parts (phi_NI0, phi_i, psi_j), so each distinct pair goal is built and
+decided once.  The decision's countermodel is assembled once, from the
+root, and certified once: every "invalid" verdict carries a countermodel
+on which the model checker confirms falsity.  The normal form, the depth-0
+path and the assembly work on explicit stacks (``~`` 10^4 times before
+``<{a}>p`` decides); only the decider recurses, once per pair reduction,
+so chains of pair reductions stay bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from typing import Iterable
 # canonical_key stays imported: bench/spans.py patches decide.canonical_key
 from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of,
                       canonical_key, coalitions_of, conj, implies, modal_depth)
+# rename_disjoint stays imported: bench/spans.py patches decide.rename_disjoint
 from .model import GameModel, JointAction, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          to_standard_conjunction)
@@ -75,10 +75,6 @@ class Verdict:
     trace: tuple[ClauseOutcome, ...]
 
 
-# one decision's verdicts, by formula and by pair parts (phi_NI0, phi_i, psi_j)
-_Memo = dict[Formula | tuple[Formula, Formula, Formula], Verdict]
-
-
 @dataclass(frozen=True)
 class SatVerdict:
     satisfiable: bool
@@ -96,6 +92,24 @@ class GameForm:
     out0: dict[JointAction, frozenset[str]]
 
 
+@dataclass(frozen=True, eq=False)
+class _Refutation:
+    """An unassembled countermodel: a dead end's label, or a hub's label and
+    game form with one child per target; atoms and actions of the whole."""
+
+    label: frozenset[str]
+    atoms: tuple[str, ...]
+    actions: tuple[str, ...] = ("idle",)
+    form: GameForm | None = None
+    children: tuple[_Refutation, ...] = ()
+
+
+# a refutation (None when valid) and the clause trace that settled it
+_Decided = tuple[_Refutation | None, tuple[ClauseOutcome, ...]]
+# one decision's results, by formula and by pair parts (phi_NI0, phi_i, psi_j)
+_Memo = dict[Formula | tuple[Formula, Formula, Formula], _Decided]
+
+
 class CertificationError(RuntimeError):
     """A produced countermodel failed its own model-checking certificate."""
 
@@ -106,18 +120,17 @@ def decide_valid(f: Formula, universe: AgentUniverse) -> Verdict:
     Invalid verdicts carry a pointed countermodel, re-checked here with the
     model checker before being returned.
     """
-    _check_universe(f, universe)
-    return _decide(f, universe, {})
+    pm, trace = _refute(f, universe)
+    return Verdict(pm is None, pm, trace)
 
 
 def decide_sat(f: Formula, universe: AgentUniverse) -> SatVerdict:
     """Satisfiability via validity of the negation; the witness (when
     satisfiable) is the countermodel of ``~f``."""
-    _check_universe(f, universe)
-    verdict = _decide(Neg(f), universe, {})
     # certified: ~f is false at the witness, and eval_all computed f's
     # column as the child of ~f
-    return SatVerdict(not verdict.valid, verdict.countermodel, verdict.trace)
+    pm, trace = _refute(Neg(f), universe)
+    return SatVerdict(pm is not None, pm, trace)
 
 
 def _check_universe(f: Formula, universe: AgentUniverse) -> None:
@@ -126,51 +139,45 @@ def _check_universe(f: Formula, universe: AgentUniverse) -> None:
             raise ValueError("formula mentions a different agent universe")
 
 
-def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> Verdict:
+def _refute(f: Formula, universe: AgentUniverse
+            ) -> tuple[PointedModel | None, tuple[ClauseOutcome, ...]]:
+    """The certified countermodel of ``f`` (None when valid) and its trace."""
+    _check_universe(f, universe)
+    node, trace = _decide(f, universe, {})
+    if node is None:
+        return None, trace
+    return _certified(node, universe, f, "countermodel does not refute the formula"), trace
+
+
+def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Decided:
     hit = memo.get(f)
-    if hit is not None:
-        return hit
-
-    if modal_depth(f) == 0:  # its countermodel was found by the model checker
-        verdict = _decide_propositional(f, universe)
-    else:
-        verdict = _decide_modal(f, universe, memo)
-        if not verdict.valid and holds(verdict.countermodel, f):
-            raise CertificationError("countermodel does not refute the formula")
-
-    memo[f] = verdict
-    return verdict
+    if hit is None:
+        hit = memo[f] = (_decide_propositional(f, universe) if modal_depth(f) == 0
+                         else _decide_modal(f, universe, memo))
+    return hit
 
 
 # -- propositional base case ----------------------------------------------------
 
-def _decide_propositional(f: Formula, universe: AgentUniverse) -> Verdict:
-    names = sorted(atoms_of(f))
+def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
+    names = tuple(sorted(atoms_of(f)))
     trace = (ClauseOutcome(None, "propositional"),)
     start, size, total = 0, 1, 1 << len(names)
     while start < total:
         masks = range(start, min(start + size, total))
         labels = [frozenset(n for k, n in enumerate(names) if mask >> k & 1)
                   for mask in masks]
-        model = _dead_ends(universe, names, labels)
+        # a dead-end state s<k> labelled labels[k] for each k
+        states = tuple(f"s{k}" for k in range(len(labels)))
+        model = GameModel(universe, names, ("idle",), states,
+                          dict(zip(states, labels)), {})
         # through the module, so tracing that wraps eval_all sees this call
         column = semantics.eval_all(model, f)
-        for state, label in zip(model.states, labels):
+        for state, label in zip(states, labels):
             if not column[state]:
-                if len(labels) > 1:  # a one-state block is the countermodel
-                    model = _dead_ends(universe, names, [label])
-                return Verdict(False, PointedModel(model, "s0"), trace)
+                return _Refutation(label, names), trace
         start, size = masks.stop, min(max(2 * size, 4), 256)
-    return Verdict(True, None, trace)
-
-
-def _dead_ends(universe: AgentUniverse, atoms: Iterable[str],
-               labels: list[Iterable[str]]) -> GameModel:
-    """A dead-end state ``s<k>`` labelled ``labels[k]`` for each k (no
-    coalition has an available joint action there)."""
-    states = tuple(f"s{k}" for k in range(len(labels)))
-    return GameModel(universe, tuple(atoms), ("idle",), states,
-                     dict(zip(states, map(frozenset, labels))), {})
+    return None, trace
 
 
 # -- modal case -------------------------------------------------------------------
@@ -180,27 +187,26 @@ def pair_implication(sf: StandardFormula, i: int, j: int) -> Formula:
     return implies(And(ni0(sf).phi, sf.ni[i][1]), sf.pi[j][1])
 
 
-def _decide_modal(f: Formula, universe: AgentUniverse, memo: _Memo) -> Verdict:
+def _decide_modal(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Decided:
     trace: list[ClauseOutcome] = []
     for sf in to_standard_conjunction(f, universe):
         outcome, refutations = _decide_clause(sf, universe, memo)
         trace.append(outcome)
         if outcome.case == "refuted":
-            pm, _ = _graft_countermodel(outcome, refutations, universe,
-                                        sorted(atoms_of(f)))
-            return Verdict(False, pm, tuple(trace))
-    return Verdict(True, None, tuple(trace))
+            return (_graft(outcome, refutations, universe, sorted(atoms_of(f))),
+                    tuple(trace))
+    return None, tuple(trace)
 
 
 def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
-                   ) -> tuple[ClauseOutcome, list[PointedModel]]:
-    """How the clause is settled, and for a refuted clause the countermodel
+                   ) -> tuple[ClauseOutcome, list[_Refutation]]:
+    """How the clause is settled, and for a refuted clause the refutation
     of each failed pair reduction, in ``failed_pairs`` order."""
     if gamma_is_tautology(sf.gamma):
         return ClauseOutcome(sf, "gamma"), []
     phi0 = ni0(sf).phi
     failed: list[tuple[int, int]] = []
-    refutations: list[PointedModel] = []
+    refutations: list[_Refutation] = []
     for i, (coal_a, phi) in enumerate(sf.ni):
         for j, (coal_b, psi) in enumerate(sf.pi):
             if not coal_a.issubset(coal_b):
@@ -208,14 +214,13 @@ def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
             # the parts are the input's own subformulas, so equal keys are
             # mostly identical and a hit builds no goal
             key = (phi0, phi, psi)
-            verdict = memo.get(key)
-            if verdict is None:
-                verdict = memo[key] = _decide(pair_implication(sf, i, j),
-                                              universe, memo)
-            if verdict.valid:
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = _decide(pair_implication(sf, i, j), universe, memo)
+            if hit[0] is None:
                 return ClauseOutcome(sf, "pair", pair=(i, j)), []
             failed.append((i, j))
-            refutations.append(verdict.countermodel)
+            refutations.append(hit[0])
     return ClauseOutcome(sf, "refuted", failed_pairs=tuple(failed)), refutations
 
 
@@ -237,7 +242,10 @@ def build_countermodel_detailed(sf: StandardFormula,
     outcome, refutations = _decide_clause(sf, universe, {})
     if outcome.case != "refuted":
         raise ValueError("clause is valid; no countermodel exists")
-    return _graft_countermodel(outcome, refutations, universe, ())
+    node = _graft(outcome, refutations, universe, ())
+    pm = _certified(node, universe, sf.to_formula(),
+                    "grafted model does not refute the clause")
+    return pm, node.form
 
 
 def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
@@ -246,82 +254,73 @@ def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
     return frozenset(lit.child.name for lit in sf.gamma if isinstance(lit, Neg))
 
 
-def _graft_countermodel(outcome: ClauseOutcome, refutations: list[PointedModel],
-                        universe: AgentUniverse, extra_atoms: Iterable[str]
-                        ) -> tuple[PointedModel, GameForm | None]:
-    """Graft the refuted clause ``outcome.clause`` from the countermodels of
-    its failed pairs (``refutations``, in ``outcome.failed_pairs`` order).
-    The model declares the ``extra_atoms`` it lacks after its own."""
+def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
+           universe: AgentUniverse, extra_atoms: Iterable[str]) -> _Refutation:
+    """The refutation of the clause ``outcome.clause``, grafted from those of
+    its failed pairs (in ``failed_pairs`` order).  Its model declares the
+    clause's atoms, then the children's, then the ``extra_atoms``."""
     sf = outcome.clause
-    clause = sf.to_formula()  # one object, so its measures are walked once
     hub_label = _falsifying_label(sf)
-    atoms: list[str] = sorted(atoms_of(clause))
+    atoms: list[str] = sorted(atoms_of(sf.to_formula()))
 
     if not sf.ni:
         atoms.extend(a for a in extra_atoms if a not in atoms)
-        pm = PointedModel(_dead_ends(universe, atoms, [hub_label]), "s0")
-        _certify_clause(pm, clause)
-        return pm, None
+        return _Refutation(hub_label, tuple(atoms))
 
-    pairs_in = outcome.failed_pairs
     pairs_out = [(i, j)
                  for i in range(len(sf.ni)) for j in range(len(sf.pi))
                  if not sf.ni[i][0].issubset(sf.pi[j][0])]
 
-    renamed = rename_disjoint([pm.model for pm in refutations])
-    targets = tuple(f"g{k}." + pm.state for k, pm in enumerate(refutations))
-    target_of_pair = dict(zip(pairs_in, targets))
+    targets = tuple(f"g{k}.s0" for k in range(len(refutations)))
     all_targets = frozenset(targets)
 
-    alpha = {i: f"alpha{i}" for i in range(len(sf.ni))}
+    alpha = [f"alpha{i}" for i in range(len(sf.ni))]
     beta = {(i, j): f"beta{i}_{j}" for i, j in pairs_out}
-    hub_actions = tuple(alpha[i] for i in sorted(alpha)) + \
-        tuple(beta[p] for p in pairs_out)
+    hub_actions = (*alpha, *beta.values())
 
     agents = universe.agents
     hub_rows: dict[JointAction, frozenset[str]] = {}
-    for i in range(len(sf.ni)):
-        profile = JointAction.of({a: alpha[i] for a in agents})
-        hub_rows[profile] = frozenset(target_of_pair[(i2, j)]
-                                      for (i2, j) in pairs_in if i2 == i)
+    for i, name in enumerate(alpha):
+        hub_rows[JointAction.of(dict.fromkeys(agents, name))] = frozenset(
+            t for (i2, _), t in zip(outcome.failed_pairs, targets) if i2 == i)
     for i, j in pairs_out:
-        coal_a, coal_b = sf.ni[i][0], sf.pi[j][0]
-        witness_agent = next(a for a in agents
-                             if a in coal_a.members and a not in coal_b.members)
-        assignment = {a: alpha[i] for a in agents}
-        assignment[witness_agent] = beta[(i, j)]
+        spare = sf.ni[i][0].members - sf.pi[j][0].members
+        assignment = dict.fromkeys(agents, alpha[i])
+        assignment[next(a for a in agents if a in spare)] = beta[(i, j)]
         hub_rows[JointAction.of(assignment)] = all_targets
 
-    game_form = GameForm(
-        hub="s0",
-        targets=targets,
-        actions=hub_actions,
-        out0=dict(hub_rows),
-    )
-
     actions: list[str] = list(hub_actions)
-    states: list[str] = ["s0"]
-    label: dict[str, frozenset[str]] = {"s0": hub_label}
-    out_ag: dict[tuple[str, JointAction], frozenset[str]] = {
-        ("s0", profile): ts for profile, ts in hub_rows.items()}
-    for m in renamed:
-        atoms.extend(a for a in m.atoms if a not in atoms)
-        actions.extend(x for x in m.actions if x not in actions)
-        states.extend(m.states)
-        label.update(m.label)
-        out_ag.update(m.out_ag)
+    for child in refutations:
+        atoms.extend(a for a in child.atoms if a not in atoms)
+        actions.extend(x for x in child.actions if x not in actions)
     atoms.extend(a for a in extra_atoms if a not in atoms)
-
-    model = GameModel(universe, tuple(atoms), tuple(actions), tuple(states),
-                      label, out_ag)
-    pm = PointedModel(model, "s0")
-    _certify_clause(pm, clause)
-    return pm, game_form
+    return _Refutation(hub_label, tuple(atoms), tuple(actions),
+                       GameForm("s0", targets, hub_actions, hub_rows), tuple(refutations))
 
 
-def _certify_clause(pm: PointedModel, clause: Formula) -> None:
-    if holds(pm, clause):
-        raise CertificationError("grafted model does not refute the clause")
+def _certified(root: _Refutation, universe: AgentUniverse, f: Formula,
+               failure: str) -> PointedModel:
+    """The model of ``root``, with states named by path in preorder, once
+    the model checker confirms that ``f`` is false at its hub ``s0``."""
+    states: list[str] = []
+    label: dict[str, frozenset[str]] = {}
+    out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
+    stack = [("", root)]
+    while stack:
+        prefix, node = stack.pop()
+        hub = prefix + "s0"
+        states.append(hub)
+        label[hub] = node.label
+        if node.form is not None:
+            for profile, targets in node.form.out0.items():
+                out_ag[(hub, profile)] = frozenset(prefix + t for t in targets)
+        stack.extend((f"{prefix}g{k}.", node.children[k])
+                     for k in reversed(range(len(node.children))))
+    pm = PointedModel(GameModel(universe, root.atoms, root.actions, tuple(states),
+                                label, out_ag), "s0")
+    if holds(pm, f):
+        raise CertificationError(failure)
+    return pm
 
 
 def hub_facts(sf: StandardFormula) -> Formula:

@@ -417,52 +417,80 @@ def to_json_dict(model: GameModel) -> dict:
     }
 
 
-def _strings(value, path: str) -> list[str]:
+def _value(obj: dict, key: str, where: str, default=None):
+    """``obj[key]``, where ``where`` is the JSON path of ``obj`` with a
+    trailing dot ("" for the document); absent without a default is an error."""
+    if key in obj:
+        return obj[key]
+    if default is None:
+        raise ModelError(f"{where}{key} is required")
+    return default
+
+
+def _strings(obj: dict, key: str, where: str = "", default=None) -> list[str]:
+    value = _value(obj, key, where, default)
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ModelError(f"{path} must be a list of strings")
+        raise ModelError(f"{where}{key} must be a list of strings")
     return value
 
 
-def _string(value, path: str) -> str:
+def _string(obj: dict, key: str, where: str) -> str:
+    value = _value(obj, key, where)
     if not isinstance(value, str):
-        raise ModelError(f"{path} must be a string")
+        raise ModelError(f"{where}{key} must be a string")
+    return value
+
+
+def _objects(obj: dict, key: str, default=None) -> list[dict]:
+    value = _value(obj, key, "", default)
+    if not isinstance(value, list):
+        raise ModelError(f"{key} must be a list of objects")
+    for k, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ModelError(f"{key}[{k}] must be an object")
     return value
 
 
 def from_json_dict(data: dict) -> GameModel:
     """Model from plain data; a ModelError names the offending JSON path."""
+    if not isinstance(data, dict):
+        raise ModelError("model document must be an object")
     try:
-        universe = AgentUniverse(tuple(_strings(data["agents"], "agents")))
-        atoms = tuple(_strings(data["atoms"], "atoms"))
-        actions = tuple(_strings(data["actions"], "actions"))
+        agents = tuple(_strings(data, "agents"))
+        try:
+            universe = AgentUniverse(agents)
+        except ValueError as exc:
+            raise ModelError(f"agents: {exc}") from exc
+        atoms = tuple(_strings(data, "atoms"))
+        actions = tuple(_strings(data, "actions"))
         states: list[str] = []
         label: dict[str, frozenset[str]] = {}
-        for k, entry in enumerate(data["states"]):
-            name = _string(entry["name"], f"states[{k}].name")
+        for k, entry in enumerate(_objects(data, "states")):
+            where = f"states[{k}]."
+            name = _string(entry, "name", where)
             states.append(name)
-            label[name] = frozenset(_strings(entry.get("label", []),
-                                             f"states[{k}].label"))
+            label[name] = frozenset(_strings(entry, "label", where, []))
         out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
         # rows repeat state names, profiles and outcome sets; equal ones
         # share one object
         shared: dict = {s: s for s in states}
         intern = shared.setdefault
-        for k, tr in enumerate(data.get("transitions", [])):
-            where = f"transitions[{k}]"
-            mapping = tr["profile"]
+        for k, tr in enumerate(_objects(data, "transitions", [])):
+            where = f"transitions[{k}]."
+            mapping = _value(tr, "profile", where)
             if not isinstance(mapping, dict) or not all(
                     isinstance(a, str) and isinstance(x, str) for a, x in mapping.items()):
-                raise ModelError(f"{where}.profile must be an object of strings")
+                raise ModelError(f"{where}profile must be an object of strings")
             profile = JointAction.of(mapping)
             profile = intern(profile, profile)
-            source = _string(tr["from"], f"{where}.from")
+            source = _string(tr, "from", where)
             key = (intern(source, source), profile)
             if key in out_ag:
-                raise ModelError(f"duplicate transition entry for {key[0]!r}, "
-                                 f"{profile.render(universe)}")
-            targets = frozenset([intern(t, t) for t in _strings(tr["to"], f"{where}.to")])
+                raise ModelError(f"transitions[{k}]: duplicate transition entry for "
+                                 f"{key[0]!r}, {profile.render(universe)}")
+            targets = frozenset([intern(t, t) for t in _strings(tr, "to", where)])
             out_ag[key] = intern(targets, targets)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # a safety net
         if isinstance(exc, ModelError):
             raise
         raise ModelError(f"malformed model document: {exc}") from exc
@@ -478,6 +506,8 @@ def loads(text: str) -> GameModel:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelError("model document nests too deeply") from None
     return from_json_dict(data)
 
 

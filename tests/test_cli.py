@@ -186,6 +186,25 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     assert err.rstrip().endswith("(formula: <{a}>p)")
 
 
+@pytest.mark.parametrize("source", ["argv", "file"])
+def test_certification_failure_writes_nothing(capsys, monkeypatch, tmp_path, source):
+    monkeypatch.setattr(mcl.decide, "holds", lambda pm, f: True)
+    text = "  <{a}>p\n\t&  <{b}>q \n"
+    if source == "file":
+        (tmp_path / "f.mcl").write_text(text, encoding="utf-8")
+        formula = ["--formula-file", str(tmp_path / "f.mcl")]
+    else:
+        formula = ["--formula", text]
+    out_path = tmp_path / "refutation.json"
+    code, out, err = run(capsys, "valid", "--agents", "a,b", *formula,
+                         "--countermodel-out", str(out_path))
+    assert (code, out) == (3, "")
+    assert not out_path.exists()
+    assert err.startswith("internal error: countermodel does not refute the formula")
+    assert len(err.splitlines()) == 1
+    assert err.endswith(" (formula: <{a}>p & <{b}>q)\n")
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (["valid", "--agents", "a,b"],  # formula missing
                  ["no-such-command"],

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
                  build_countermodel_detailed, classify, decide_sat,
                  decide_valid, dumps, holds, hub_facts, implies, loads, lor,
                  modal_depth, parse, pretty, to_standard_conjunction)
-from mcl import decide
+from mcl import decide, semantics
 from mcl.oracle import random_formula, random_propositional
 
 
@@ -388,6 +389,70 @@ def test_verdicts_are_reproducible(ab):
     v1, v2 = decide_valid(f, ab), decide_valid(f, ab)
     assert v1.valid == v2.valid
     assert dumps(v1.countermodel.model) == dumps(v2.countermodel.model)
+
+
+# -- one assembly, one certificate ------------------------------------------------------
+
+def _counted(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_chain_is_assembled_and_certified_once(solo, monkeypatch):
+    # <{a}>^50 p grafts 50 levels; the witness is built and checked once,
+    # not once per level
+    f = parse("<{a}>" * 50 + "p", solo)
+    calls = {"holds": 0, "rename_disjoint": 0, "__post_init__": 0}
+    _counted(monkeypatch, decide, "holds", calls)
+    _counted(monkeypatch, decide, "rename_disjoint", calls)
+    _counted(monkeypatch, GameModel, "__post_init__", calls)
+    w = decide_sat(f, solo).witness
+    assert calls["holds"] == 1
+    assert calls["rename_disjoint"] == 0
+    assert calls["__post_init__"] <= 4
+    assert len(w.model.states) == 101
+    assert semantics.eval_all(w.model, f)[w.state]
+
+
+@pytest.mark.parametrize("agents, text, sha256", [
+    (("a", "b"),
+     "~(~(~<{a,b}><{b}>~r & ~<{a,b}><{b}><{b}>~q) & ~<{}>(<{a}><{a,b}>~p & r))",
+     "62f3e4598a86f440298f6c73433c3fcf8de62ebb931f8f183e782652a22cf8aa"),
+    (("a", "b", "c"),
+     "~<{c}>~" * 3 + "((<{a}>p & <{b}>q) -> <{a,b}>(p & q))",
+     "1bc3b8f66d5d4f01513dc76aa52cafb5942a4eeb1bbba93b41620dbfc5bfe2a0"),
+], ids=["atoms-in-first-occurrence-order", "nested-independence"])
+def test_countermodel_bytes_are_pinned(agents, text, sha256):
+    # atoms are declared clause first, then by sub-model: the first model
+    # declares ('p', 'r', 'q'), not sorted
+    u = AgentUniverse(agents)
+    pm = valid(text, u).countermodel
+    assert hashlib.sha256(dumps(pm.model).encode()).hexdigest() == sha256
+
+
+def test_chain_witness_bytes_are_pinned(solo):
+    w = decide_sat(parse("<{a}>" * 10 + "p", solo), solo).witness
+    assert hashlib.sha256(dumps(w.model).encode()).hexdigest() == \
+        "13f6b35d26667b923b114f1d751e6487d0c85507eca99ca3a39a4840bbdfa49e"
+
+
+@pytest.mark.parametrize("text", ["p", "<{a}>p", "(<{a}>p & <{b}>q) -> <{a,b}>(p & q)"])
+def test_a_failed_certificate_raises(ab, monkeypatch, text):
+    monkeypatch.setattr(decide, "holds", lambda pm, f: True)
+    f = parse(text, ab)
+    message = "countermodel does not refute the formula"
+    with pytest.raises(decide.CertificationError, match=message):
+        decide_valid(f, ab)
+    with pytest.raises(decide.CertificationError, match=message):
+        decide_sat(Neg(f), ab)
+    if modal_depth(f):
+        with pytest.raises(decide.CertificationError, match="does not refute the clause"):
+            build_countermodel_detailed(_refuted_clause(text, ab), ab)
 
 
 # -- scheme sampling (acceptance runs the full battery) ----------------------------------

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mcl import (EMPTY_ACTION, AgentUniverse, GameModel, JointAction,
                  ModelError, classify, dumps, load_fixture, loads, oplus,
                  random_cgm, random_model, rename_disjoint)
+import mcl.model
 from mcl.model import from_json_dict, to_json_dict
 
 
@@ -216,6 +218,71 @@ def test_load_requires_json_types(ab, path, edit):
     doc = to_json_dict(random_model(ab, 3, 1, 1.0, seed=0))
     edit(doc)
     with pytest.raises(ModelError, match=re.escape(path) + " must be"):
+        from_json_dict(doc)
+
+
+def _json_paths(value, path=()):
+    """The key path of every value nested in ``value``, parents first."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_path_text(path) -> str:
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def test_document_errors_name_their_json_path(monkeypatch):
+    # every single-field mutant of a fixture (deleted, or set to a value of
+    # each JSON type) that is rejected before a model is built names the
+    # mutated path, a path inside it, or an ancestor
+    text = (resources.files("mcl") / "fixtures" / "two_masks.json").read_text()
+    built = []
+    real = mcl.model.GameModel
+    monkeypatch.setattr(mcl.model, "GameModel",
+                        lambda *args: built.append(1) or real(*args))
+    checked = 0
+    for path in _json_paths(json.loads(text)):
+        for mutant in ("delete", None, 7, "x", [], {}):
+            doc = json.loads(text)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutant == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = mutant
+            built.clear()
+            try:
+                from_json_dict(doc)
+            except ModelError as exc:
+                if built:
+                    continue  # the model's own checks
+                message, checked = str(exc), checked + 1
+                named = [_json_path_text(path[:n]) for n in range(1, len(path) + 1)]
+                assert any(message.startswith(p) and
+                           message[len(p):][:1] in (" :.[" if p == named[-1] else " :")
+                           for p in named), (named[-1], mutant, message)
+    assert checked > 400
+
+
+def test_document_shape_errors(ab):
+    with pytest.raises(ModelError, match="^model document must be an object$"):
+        loads("[]")
+    with pytest.raises(ModelError, match="nests too deeply"):
+        loads("[" * 100_000 + "]" * 100_000)
+    doc = to_json_dict(random_model(ab, 2, 1, 0.5, seed=0))
+    with pytest.raises(ModelError, match="^agents: agent universe must be nonempty$"):
+        from_json_dict(dict(doc, agents=[]))
+    with pytest.raises(ModelError, match=re.escape("transitions must be a list")):
+        from_json_dict(dict(doc, transitions={}))
+    del doc["states"][1]["name"]
+    with pytest.raises(ModelError, match=re.escape("states[1].name is required")):
         from_json_dict(doc)
 
 
