@@ -15,7 +15,7 @@ from .model import (EMPTY_ACTION, GameModel, JointAction, ModelClassification,
                     oplus, random_cgm, random_model, rename_disjoint, save)
 from .semantics import PointedModel, ensures, eval_all, holds
 from .normalform import (Ni0Summary, StandardFormula, gamma_is_tautology, ni0,
-                         to_standard_conjunction)
+                         standard_clauses, to_standard_conjunction)
 from .decide import (CertificationError, ClauseOutcome, GameForm, SatVerdict,
                      Verdict, build_countermodel, build_countermodel_detailed,
                      decide_sat, decide_valid, hub_facts, pair_implication)

@@ -3,10 +3,11 @@ certified countermodels.
 
 A formula of modal depth 0 is valid exactly when it holds at every
 one-state model, so it is decided by model-checking the labellings of its
-atoms in binary-counter order, one dead-end state each: the first alone,
-then in models of 4, 8, 16, ... up to 256 states.  The first labelling that
-refutes it labels the one-state countermodel.  Deeper formulas are
-normalized; a standard clause is valid exactly when
+atoms in binary-counter order, one dead-end state each, in models of 4,
+8, 16, ... up to 256 states.  The first labelling that refutes it labels
+the one-state countermodel.  Deeper formulas are normalized; their
+clauses are built and decided one by one, and the first refuted clause
+ends the decision.  A standard clause is valid exactly when
 
   (a) its gamma part is a tautology, or
   (b) some negative entry <A_i>phi_i and positive entry <B_j>psi_j with
@@ -42,13 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-# canonical_key stays imported: bench/spans.py patches decide.canonical_key
+# canonical_key, rename_disjoint and to_standard_conjunction stay imported,
+# unused: bench/spans.py patches them by these names in this module
 from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of,
                       canonical_key, coalitions_of, conj, implies, modal_depth)
-# rename_disjoint stays imported: bench/spans.py patches decide.rename_disjoint
 from .model import GameModel, JointAction, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
-                         to_standard_conjunction)
+                         standard_clauses, to_standard_conjunction)
 from . import semantics
 from .semantics import PointedModel, holds
 
@@ -162,7 +163,7 @@ def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Decided:
 def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
     names = tuple(sorted(atoms_of(f)))
     trace = (ClauseOutcome(None, "propositional"),)
-    start, size, total = 0, 1, 1 << len(names)
+    start, size, total = 0, 4, 1 << len(names)
     while start < total:
         masks = range(start, min(start + size, total))
         labels = [frozenset(n for k, n in enumerate(names) if mask >> k & 1)
@@ -176,20 +177,22 @@ def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
         for state, label in zip(states, labels):
             if not column[state]:
                 return _Refutation(label, names), trace
-        start, size = masks.stop, min(max(2 * size, 4), 256)
+        start, size = masks.stop, min(2 * size, 256)
     return None, trace
 
 
 # -- modal case -------------------------------------------------------------------
 
-def pair_implication(sf: StandardFormula, i: int, j: int) -> Formula:
-    """(phi_NI0 & phi_i) -> psi_j, the reduction goal for a pair."""
-    return implies(And(ni0(sf).phi, sf.ni[i][1]), sf.pi[j][1])
+def pair_implication(sf: StandardFormula, i: int, j: int,
+                     phi0: Formula | None = None) -> Formula:
+    """(phi_NI0 & phi_i) -> psi_j, the goal for a pair; ``phi0`` is phi_NI0 if given."""
+    phi0 = ni0(sf).phi if phi0 is None else phi0
+    return implies(And(phi0, sf.ni[i][1]), sf.pi[j][1])
 
 
 def _decide_modal(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Decided:
     trace: list[ClauseOutcome] = []
-    for sf in to_standard_conjunction(f, universe):
+    for sf in standard_clauses(f, universe):
         outcome, refutations = _decide_clause(sf, universe, memo)
         trace.append(outcome)
         if outcome.case == "refuted":
@@ -209,14 +212,14 @@ def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
     refutations: list[_Refutation] = []
     for i, (coal_a, phi) in enumerate(sf.ni):
         for j, (coal_b, psi) in enumerate(sf.pi):
-            if not coal_a.issubset(coal_b):
+            if not coal_a.members <= coal_b.members:  # the universe is checked
                 continue
             # the parts are the input's own subformulas, so equal keys are
             # mostly identical and a hit builds no goal
             key = (phi0, phi, psi)
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = _decide(pair_implication(sf, i, j), universe, memo)
+                hit = memo[key] = _decide(pair_implication(sf, i, j, phi0), universe, memo)
             if hit[0] is None:
                 return ClauseOutcome(sf, "pair", pair=(i, j)), []
             failed.append((i, j))
@@ -239,6 +242,7 @@ def build_countermodel_detailed(sf: StandardFormula,
                                 universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
     """As ``build_countermodel``, also returning the hub game form (None for
     the dead-end case with an empty negative side)."""
+    _check_universe(sf.to_formula(), universe)
     outcome, refutations = _decide_clause(sf, universe, {})
     if outcome.case != "refuted":
         raise ValueError("clause is valid; no countermodel exists")
@@ -248,19 +252,14 @@ def build_countermodel_detailed(sf: StandardFormula,
     return pm, node.form
 
 
-def _falsifying_label(sf: StandardFormula) -> frozenset[str]:
-    """Atoms made true by the elementary conjunction equivalent to ~gamma
-    (atoms outside gamma default to false)."""
-    return frozenset(lit.child.name for lit in sf.gamma if isinstance(lit, Neg))
-
-
 def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
            universe: AgentUniverse, extra_atoms: Iterable[str]) -> _Refutation:
     """The refutation of the clause ``outcome.clause``, grafted from those of
     its failed pairs (in ``failed_pairs`` order).  Its model declares the
     clause's atoms, then the children's, then the ``extra_atoms``."""
     sf = outcome.clause
-    hub_label = _falsifying_label(sf)
+    # the atoms that ~gamma makes true; atoms outside gamma stay false
+    hub_label = frozenset(lit.child.name for lit in sf.gamma if isinstance(lit, Neg))
     atoms: list[str] = sorted(atoms_of(sf.to_formula()))
 
     if not sf.ni:

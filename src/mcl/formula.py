@@ -400,6 +400,7 @@ class _Parser:
         # the end marker's kind None matches no token kind
         self.tokens = _tokenize(text) + [(None, "", len(text))]
         self.pos = 0
+        self.coalitions: dict[tuple[str, ...], Coalition] = {}  # by member list
 
     def _peek(self) -> str | None:
         return self.tokens[self.pos][0]
@@ -473,7 +474,10 @@ class _Parser:
                     break
                 self.pos += 1
         self._take("}")
-        return self.universe.coalition(*members)
+        key = tuple(members)
+        if key not in self.coalitions:
+            self.coalitions[key] = self.universe.coalition(*members)
+        return self.coalitions[key]
 
 
 def agents_mentioned(text: str) -> tuple[str, ...]:

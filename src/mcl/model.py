@@ -29,7 +29,15 @@ from .formula import AgentUniverse, Coalition
 
 
 class ModelError(ValueError):
-    """Malformed model data (construction or file loading)."""
+    """Malformed model data (construction or file loading).
+
+    ``at`` names the part of a model at fault, when one is: ``(field,)``
+    for "states", "actions" or "atoms", ``("state", name, field)`` or
+    ``("transition", (state, profile), field)``."""
+
+    def __init__(self, message: str, at: tuple = ()):
+        super().__init__(message)
+        self.at = at
 
 
 @dataclass(frozen=True)
@@ -143,13 +151,13 @@ class GameModel:
 
     def __post_init__(self):
         if not self.states:
-            raise ModelError("model must have at least one state")
+            raise ModelError("model must have at least one state", ("states",))
         if not self.actions:
-            raise ModelError("model must have at least one action")
+            raise ModelError("model must have at least one action", ("actions",))
         for seq, what in ((self.states, "state"), (self.actions, "action"),
                           (self.atoms, "atom")):
             if len(set(seq)) != len(seq):
-                raise ModelError(f"duplicate {what} names")
+                raise ModelError(f"duplicate {what} names", (f"{what}s",))
         state_set = set(self.states)
         atom_set = set(self.atoms)
         action_set = set(self.actions)
@@ -159,7 +167,7 @@ class GameModel:
             marks = self.label.get(s, frozenset())
             if not marks <= atom_set:
                 raise ModelError(f"undeclared atoms {sorted(marks - atom_set)} "
-                                 f"labelling state {s!r}")
+                                 f"labelling state {s!r}", ("state", s, "label"))
         unknown_labels = set(self.label) - state_set
         if unknown_labels:
             raise ModelError(f"labels for unknown states {sorted(unknown_labels)}")
@@ -168,15 +176,18 @@ class GameModel:
             s: [] for s in self.states}
         for (s, profile), targets in self.out_ag.items():
             if s not in state_set:
-                raise ModelError(f"transition from unknown state {s!r}")
+                raise ModelError(f"transition from unknown state {s!r}",
+                                 ("transition", (s, profile), "from"))
             if profile.domain != agent_set:
                 raise ModelError(f"profile {profile.items} does not cover the "
-                                 "grand coalition")
+                                 "grand coalition", ("transition", (s, profile), "profile"))
             bad_actions = {x for _, x in profile.items} - action_set
             if bad_actions:
-                raise ModelError(f"undeclared actions {sorted(bad_actions)}")
+                raise ModelError(f"undeclared actions {sorted(bad_actions)}",
+                                 ("transition", (s, profile), "profile"))
             if not targets <= state_set:
-                raise ModelError(f"unknown outcome states {sorted(targets - state_set)}")
+                raise ModelError(f"unknown outcome states {sorted(targets - state_set)}",
+                                 ("transition", (s, profile), "to"))
             if targets:
                 targets = cleaned[(s, profile)] = frozenset(targets)
                 rows[s].append((profile, targets))
@@ -494,7 +505,16 @@ def from_json_dict(data: dict) -> GameModel:
         if isinstance(exc, ModelError):
             raise
         raise ModelError(f"malformed model document: {exc}") from exc
-    return GameModel(universe, atoms, actions, tuple(states), label, out_ag)
+    try:
+        return GameModel(universe, atoms, actions, tuple(states), label, out_ag)
+    except ModelError as exc:  # found only now, so valid documents pay nothing
+        if not exc.at:
+            raise
+        if len(exc.at) == 1:
+            raise ModelError(f"{exc.at[0]}: {exc}", exc.at) from exc
+        kind, key, field = exc.at
+        k = states.index(key) if kind == "state" else list(out_ag).index(key)
+        raise ModelError(f"{kind}s[{k}].{field}: {exc}", exc.at) from exc
 
 
 def dumps(model: GameModel) -> str:

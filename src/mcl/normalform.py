@@ -22,8 +22,9 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
-from typing import Collection
+from typing import Collection, Iterator
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Coalition, Formula,
                       Neg, Top, bot, conj, disj, implies, modal_depth, pretty)
@@ -49,9 +50,10 @@ class StandardFormula:
                 raise ValueError(f"not a propositional literal: {lit!r}")
         if not self.pi:
             raise ValueError("the positive side must not be empty")
-        if not _has_entry(self.pi, self.universe.grand, bot()):
+        # scanning from the end, where _clause_to_standard puts the paddings
+        if (self.universe.grand, bot()) not in reversed(self.pi):
             raise ValueError("the positive side must contain <AG>false")
-        if self.ni and not _has_entry(self.ni, self.universe.empty, TOP):
+        if self.ni and (self.universe.empty, TOP) not in reversed(self.ni):
             raise ValueError("a nonempty negative side must contain <{}>true")
 
     def gamma_formula(self) -> Formula:
@@ -89,15 +91,6 @@ def ni0(sf: StandardFormula) -> Ni0Summary:
     return Ni0Summary(indices, phi)
 
 
-def _has_entry(side: Collection[tuple[Coalition, Formula]],
-               coalition: Coalition, goal: Formula) -> bool:
-    """Whether ``(coalition, goal)`` is an entry of ``side``.  The goals'
-    stored hashes are compared first, so most entries cost one int
-    comparison; an entry whose goal has none is compared whole."""
-    entry, key = (coalition, goal), goal._hash
-    return any(getattr(e[1], "_hash", key) == key and e == entry for e in side)
-
-
 def _is_gamma_literal(f: Formula) -> bool:
     return (isinstance(f, (Top, Atom))
             or (isinstance(f, Neg) and isinstance(f.child, Atom)))
@@ -107,9 +100,7 @@ def gamma_is_tautology(gamma: tuple[Formula, ...]) -> bool:
     """Complete for elementary disjunctions: true iff the constant true or a
     complementary literal pair occurs."""
     lits = set(gamma)
-    if TOP in lits:
-        return True
-    return any(isinstance(lit, Atom) and Neg(lit) in lits for lit in lits)
+    return TOP in lits or any(isinstance(lit, Neg) and lit.child in lits for lit in lits)
 
 
 # -- conversion ----------------------------------------------------------------
@@ -171,6 +162,12 @@ def _prune(clauses: list[Collection[_Lit]],
     return survivors
 
 
+@lru_cache(maxsize=16)
+def _paddings(universe: AgentUniverse) -> tuple[_Lit, _Lit]:
+    """The padding literals ``<AG>false`` and ``~<{}>true``, once per universe."""
+    return (True, Can(universe.grand, bot())), (False, Can(universe.empty, TOP))
+
+
 def _clause_to_standard(clause: Collection[_Lit],
                         universe: AgentUniverse) -> StandardFormula:
     gamma: list[Formula] = []
@@ -180,15 +177,22 @@ def _clause_to_standard(clause: Collection[_Lit],
         if isinstance(leaf, Can):
             # literals are already unique, so each pair occurs once per side
             (pi if positive else ni).append((leaf.coalition, leaf.child))
-        elif positive:
-            gamma.append(leaf)
         else:
-            gamma.append(Neg(leaf))
-    if not _has_entry(pi, universe.grand, bot()):
+            gamma.append(leaf if positive else Neg(leaf))
+    grand, empty = _paddings(universe)
+    if grand not in clause:
         pi.append((universe.grand, bot()))
-    if ni and not _has_entry(ni, universe.empty, TOP):
+    if ni and empty not in clause:
         ni.append((universe.empty, TOP))
     return StandardFormula(universe, tuple(gamma), tuple(ni), tuple(pi))
+
+
+def standard_clauses(f: Formula, universe: AgentUniverse) -> Iterator[StandardFormula]:
+    """The clauses of ``to_standard_conjunction``, each built when it is taken."""
+    depth = modal_depth(f)
+    if depth < 1:
+        raise ValueError("normal form is defined for modal depth >= 1")
+    return (_clause_to_standard(c, universe) for c in _prune(_cnf(f), depth))
 
 
 def to_standard_conjunction(f: Formula,
@@ -199,7 +203,4 @@ def to_standard_conjunction(f: Formula,
     truth-table path of the decision procedure (padding a depth-0 formula
     would raise its depth).
     """
-    depth = modal_depth(f)
-    if depth < 1:
-        raise ValueError("normal form is defined for modal depth >= 1")
-    return tuple(_clause_to_standard(c, universe) for c in _prune(_cnf(f), depth))
+    return tuple(standard_clauses(f, universe))

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
-                 PointedModel, atoms_of, build_countermodel,
+                 PointedModel, StandardFormula, atoms_of, bot, build_countermodel,
                  build_countermodel_detailed, classify, decide_sat,
                  decide_valid, dumps, holds, hub_facts, implies, loads, lor,
-                 modal_depth, parse, pretty, to_standard_conjunction)
-from mcl import decide, semantics
+                 modal_depth, pair_implication, parse, pretty,
+                 to_standard_conjunction)
+from mcl import decide, normalform, semantics
 from mcl.oracle import random_formula, random_propositional
 
 
@@ -174,11 +175,11 @@ def _one_state_per_labelling(f, universe):
     return None
 
 
-@pytest.mark.parametrize("mask", [0, 3, 12, 13, 300, 511])
+@pytest.mark.parametrize("mask", [0, 3, 4, 11, 12, 13, 300, 511])
 def test_depth_zero_refutation_matches_one_state_per_labelling(ab, mask):
-    # false at exactly one labelling of p0..p8: the first one (checked
-    # alone), inside the blocks 1-4 and 253-508, at the end of 5-12, at the
-    # start of 13-28, or the very last one
+    # false at exactly one labelling of p0..p8: at the start or end of the
+    # blocks 0-3 and 4-11, at the start of 12-27 or inside it, inside
+    # 252-507, or the very last one
     lits = [f"p{k}" if mask >> k & 1 else f"~p{k}" for k in range(9)]
     f = parse("~(" + " & ".join(lits) + ")", ab)
     v = decide_valid(f, ab)
@@ -187,6 +188,24 @@ def test_depth_zero_refutation_matches_one_state_per_labelling(ab, mask):
     s = decide_sat(Neg(f), ab)
     assert s.satisfiable
     assert dumps(s.witness.model) == dumps(v.countermodel.model)
+
+
+def test_up_to_two_atoms_are_checked_in_one_model(ab, monkeypatch):
+    # all labellings share one model; test_propositional_verdicts_match_the_
+    # truth_table checks that the refuting one is still the first
+    sizes = []
+    check = semantics.eval_all
+    monkeypatch.setattr(semantics, "eval_all",
+                        lambda model, f: sizes.append(len(model.states)) or check(model, f))
+    atom_counts = set()
+    for k in range(200):
+        rng = random.Random(f"labellings:{k}")
+        f = random_propositional(rng, ("p", "q")[:rng.randint(1, 2)], rng.randint(1, 12))
+        sizes.clear()
+        decide._decide_propositional(f, ab)
+        assert sizes == [1 << len(atoms_of(f))]
+        atom_counts.add(len(atoms_of(f)))
+    assert atom_counts == {0, 1, 2}
 
 
 def test_depth_zero_valid_over_nine_atoms(ab):
@@ -222,6 +241,17 @@ def test_deep_negation_above_a_modality(ab, n):
 def _refuted_clause(text, u):
     (sf,) = to_standard_conjunction(parse(text, u), u)
     return sf
+
+
+def test_a_clause_of_another_universe_is_rejected(ab, solo):
+    sf = _refuted_clause("(<{a}>p & <{b}>q) -> <{a,b}>(p & q)", ab)
+    with pytest.raises(ValueError, match="different agent universe"):
+        build_countermodel_detailed(sf, AgentUniverse.of("a", "b", "c"))
+    # <{a}>p -> <{a,b}>p would be valid, were {a} not of another universe
+    mixed = StandardFormula(ab, (), ((solo.coalition("a"), Atom("p")), (ab.empty, TOP)),
+                            ((ab.grand, Atom("p")), (ab.grand, bot())))
+    with pytest.raises(ValueError, match="different agent universe"):
+        build_countermodel_detailed(mixed, ab)
 
 
 def test_dead_end_branch_for_empty_negative_side(ab):
@@ -362,13 +392,50 @@ def test_each_distinct_pair_goal_is_built_once(ab, monkeypatch):
     calls = []
     build = decide.pair_implication
     monkeypatch.setattr(decide, "pair_implication",
-                        lambda sf, i, j: calls.append((i, j)) or build(sf, i, j))
+                        lambda sf, i, j, *phi0: calls.append((i, j)) or build(sf, i, j, *phi0))
     counts = []
     for n in range(1, 8):
         calls.clear()
         assert valid(_weak(n), ab).valid
         counts.append(len(calls))
     assert counts == [3, 10, 21, 36, 55, 78, 105]
+
+
+def test_the_decider_converts_clauses_up_to_the_first_refuted_one(ab, monkeypatch):
+    # the cnf ladder at n = 10 has 1024 clauses, and the first is refuted
+    f = parse(" | ".join(f"(<{{a}}>p{i} & <{{b}}>q{i})" for i in range(10)), ab)
+    converted = []
+    build = normalform._clause_to_standard
+    monkeypatch.setattr(normalform, "_clause_to_standard",
+                        lambda clause, u: converted.append(clause) or build(clause, u))
+    v = decide_valid(f, ab)
+    assert not v.valid and len(converted) == 1
+    eager = to_standard_conjunction(f, ab)
+    assert len(eager) == 1024
+    assert v.trace == (decide._decide_clause(eager[0], ab, {})[0],)
+
+
+def test_the_decider_builds_each_pair_goal_as_pair_implication(ab, monkeypatch):
+    # _decide_clause hands its own phi_NI0 to pair_implication; the goal is
+    # the one built from the clause alone
+    built = []
+    build = decide.pair_implication
+
+    def recorded(sf, i, j, *phi0):
+        goal = build(sf, i, j, *phi0)
+        built.append((sf, i, j, goal))
+        return goal
+
+    monkeypatch.setattr(decide, "pair_implication", recorded)
+    rng = random.Random("pair-goals")
+    for _ in range(300):
+        f = random_formula(rng, ab, ("p", "q"), rng.randint(1, 2))
+        for sf in to_standard_conjunction(f, ab):
+            decide._decide_clause(sf, ab, {})
+    assert len(built) > 200
+    assert any(len(sf.ni) > 2 for sf, *_ in built)
+    for sf, i, j, goal in built:
+        assert goal == pair_implication(sf, i, j)
 
 
 def test_pair_verdicts_depend_on_phi_ni0(ab):

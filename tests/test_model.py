@@ -240,13 +240,15 @@ def _json_path_text(path) -> str:
 def test_document_errors_name_their_json_path(monkeypatch):
     # every single-field mutant of a fixture (deleted, or set to a value of
     # each JSON type) that is rejected before a model is built names the
-    # mutated path, a path inside it, or an ancestor
+    # mutated path, a path inside it, or an ancestor; one that only the
+    # model's own checks reject (an undeclared action, an unknown outcome
+    # state, ...) names the field at fault, which need not be the mutated one
     text = (resources.files("mcl") / "fixtures" / "two_masks.json").read_text()
     built = []
     real = mcl.model.GameModel
     monkeypatch.setattr(mcl.model, "GameModel",
                         lambda *args: built.append(1) or real(*args))
-    checked = 0
+    checked = model_checked = 0
     for path in _json_paths(json.loads(text)):
         for mutant in ("delete", None, 7, "x", [], {}):
             doc = json.loads(text)
@@ -261,14 +263,20 @@ def test_document_errors_name_their_json_path(monkeypatch):
             try:
                 from_json_dict(doc)
             except ModelError as exc:
-                if built:
-                    continue  # the model's own checks
-                message, checked = str(exc), checked + 1
+                message = str(exc)
+                if built:  # the model's own checks
+                    at_fault = re.match(r"(\w+)(?:\[(\d+)\]\.(\w+))?: ", message)
+                    assert at_fault, (_json_path_text(path), mutant, message)
+                    entries = doc[at_fault[1]]
+                    assert at_fault[2] is None or at_fault[3] in entries[int(at_fault[2])]
+                    model_checked += 1
+                    continue
+                checked += 1
                 named = [_json_path_text(path[:n]) for n in range(1, len(path) + 1)]
                 assert any(message.startswith(p) and
                            message[len(p):][:1] in (" :.[" if p == named[-1] else " :")
                            for p in named), (named[-1], mutant, message)
-    assert checked > 400
+    assert checked > 400 and model_checked >= 90
 
 
 def test_document_shape_errors(ab):
