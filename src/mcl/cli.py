@@ -25,21 +25,25 @@ from . import model as model_io
 from .decide import (CertificationError, ClauseOutcome, decide_sat,
                      decide_valid)
 from .formula import (AgentUniverse, Formula, ParseError, agents_mentioned,
-                      modal_depth, parse, pretty)
+                      check_name, modal_depth, parse, pretty)
 from .model import ModelError, classify, load_fixture
 from .normalform import to_standard_conjunction
 from .oracle import DifferentialConfig, SearchBounds, differential_run
 from .semantics import PointedModel, holds
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """The comma-separated names of --agents or --atoms; each must be one
+    the formula grammar can write."""
+    return tuple(check_name(a.strip()) for a in text.split(",") if a.strip())
+
+
 def _universe(text: str | None, formula_text: str | None = None) -> AgentUniverse:
     """Grand coalition from --agents, or (by default) from the agents the
     formula mentions; a fresh singleton when it mentions none."""
     if text is not None:
-        names = tuple(a.strip() for a in text.split(",") if a.strip())
-        return AgentUniverse(names)
-    names = agents_mentioned(formula_text or "")
-    return AgentUniverse(names or ("a",))
+        return AgentUniverse(_names(text))
+    return AgentUniverse(agents_mentioned(formula_text or "") or ("a",))
 
 
 def _formula(args, universe: AgentUniverse | None = None
@@ -218,7 +222,7 @@ def cmd_fuzz(args) -> int:
         universe=_universe(args.agents),
         max_states=args.max_states,
         max_actions=args.max_actions,
-        atoms=tuple(a.strip() for a in args.atoms.split(",") if a.strip()),
+        atoms=_names(args.atoms),
         mode="sampled",
         n_samples=args.samples,
         seed=args.seed,

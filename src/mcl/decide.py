@@ -45,7 +45,7 @@ from typing import Iterable
 
 # canonical_key, rename_disjoint and to_standard_conjunction stay imported,
 # unused: bench/spans.py patches them by these names in this module
-from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of,
+from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_in, atoms_of,
                       canonical_key, coalitions_of, conj, implies, modal_depth)
 from .model import GameModel, JointAction, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
@@ -260,7 +260,7 @@ def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
     sf = outcome.clause
     # the atoms that ~gamma makes true; atoms outside gamma stay false
     hub_label = frozenset(lit.child.name for lit in sf.gamma if isinstance(lit, Neg))
-    atoms: list[str] = sorted(atoms_of(sf.to_formula()))
+    atoms: list[str] = sorted(atoms_in(*sf.gamma, *(g for _, g in sf.ni + sf.pi)))
 
     if not sf.ni:
         atoms.extend(a for a in extra_atoms if a not in atoms)

@@ -8,22 +8,22 @@ constructors below lower them to the core immediately, so semantic code
 only ever sees the five core forms.
 
 Formulas are immutable values and safe to share across threads.  Each node
-computes its hash and modal depth once, when it is built, from its class
-name, its fields and its children's stored values, so hashing and
-``modal_depth`` cost O(1) at any depth.  Equality is structural and compares
-along an explicit stack after a stored-hash check, so it needs no recursion.
-``walk`` computes the other measures in one iterative walk on the first
-request and caches them on the node; threads racing on it only store equal
-immutable values twice.  The cache takes no part in ``__eq__``, ``__hash__``
-or pickling: a pickled or copied formula is rebuilt through its constructor,
-with neither the cache nor a hash computed under another ``PYTHONHASHSEED``.
+stores its hash and modal depth when it is built, so hashing and
+``modal_depth`` cost O(1) at any depth; equality compares along an explicit
+stack after a stored-hash check.  ``walk`` computes the other measures in
+one iterative walk on the first request and caches them on the node (racing
+threads only store equal values twice).  The parser reads coarse tokens
+onto explicit stacks.  A pickled or copied formula or coalition is rebuilt
+through its constructor, with no cache and no hash from another
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from functools import cached_property, partial, reduce
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -50,6 +50,9 @@ class AgentUniverse:
             raise ValueError("agent universe must be nonempty")
         if len(set(self.agents)) != len(self.agents):
             raise ValueError(f"duplicate agent names: {self.agents}")
+
+    def __reduce__(self):  # the cached grand and empty coalitions are rebuilt
+        return AgentUniverse, (self.agents,)
 
     @classmethod
     def of(cls, *agents: str) -> AgentUniverse:
@@ -84,7 +87,9 @@ class AgentUniverse:
 
 @dataclass(frozen=True)
 class Coalition:
-    """A subset of the agent universe (the empty coalition is allowed)."""
+    """A subset of the agent universe (the empty coalition is allowed).
+
+    Its hash is computed once, when it is built."""
 
     universe: AgentUniverse
     members: frozenset[str]
@@ -93,6 +98,13 @@ class Coalition:
         unknown = self.members - set(self.universe.agents)
         if unknown:
             raise ValueError(f"agents not in universe: {sorted(unknown)}")
+        self.__dict__["_hash"] = hash((self.universe, self.members))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Coalition, (self.universe, self.members)
 
     def sorted_members(self) -> tuple[str, ...]:
         return tuple(a for a in self.universe.agents if a in self.members)
@@ -137,9 +149,11 @@ class Coalition:
 class Formula:
     """Base class of the five core constructors.
 
-    Each subclass sets ``_hash`` and ``_depth`` in ``__post_init__`` and is
-    declared with ``eq=False``, so it inherits this class's ``__hash__`` and
-    ``__eq__`` instead of the recursive ones a dataclass would generate.
+    Each subclass is a ``dataclass(frozen=True, eq=False, init=False)`` whose
+    own ``__init__`` writes its fields, ``_hash`` and ``_depth`` straight into
+    ``__dict__`` (past the frozen ``__setattr__``) in one step, and inherits
+    this class's ``__hash__`` and ``__eq__`` instead of the recursive ones a
+    dataclass would generate.
     """
 
     __slots__ = ()
@@ -170,60 +184,63 @@ class Formula:
             a, b = stack.pop()
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, fld.name) for fld in fields(self))
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Top(Formula):
-    def __post_init__(self):
-        d = self.__dict__  # frozen dataclass: bypass its __setattr__
+    def __init__(self):
+        d = self.__dict__
         d["_hash"], d["_depth"] = hash(("Top",)), 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     name: str
 
-    def __post_init__(self):
+    def __init__(self, name: str):
         d = self.__dict__
-        d["_hash"], d["_depth"] = hash(("Atom", self.name)), 0
+        d["name"], d["_hash"], d["_depth"] = name, hash(("Atom", name)), 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(Formula):
     child: Formula
 
-    def __post_init__(self):
+    def __init__(self, child: Formula):
         d = self.__dict__
-        d["_hash"], d["_depth"] = hash(("Neg", self.child._hash)), self.child._depth
+        d["child"], d["_hash"], d["_depth"] = child, hash(("Neg", child._hash)), child._depth
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        d, x, y = self.__dict__, self.left, self.right
-        d["_hash"] = hash(("And", x._hash, y._hash))
-        d["_depth"] = x._depth if x._depth > y._depth else y._depth
+    def __init__(self, left: Formula, right: Formula):
+        d = self.__dict__
+        d["left"], d["right"] = left, right
+        d["_hash"] = hash(("And", left._hash, right._hash))
+        d["_depth"] = left._depth if left._depth > right._depth else right._depth
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Can(Formula):
     """``<A>phi``: some available joint action of A ensures phi."""
 
     coalition: Coalition
     child: Formula
 
-    def __post_init__(self):
+    def __init__(self, coalition: Coalition, child: Formula):
         d = self.__dict__
-        d["_hash"] = hash(("Can", self.coalition, self.child._hash))
-        d["_depth"] = self.child._depth + 1
+        d["coalition"], d["child"] = coalition, child
+        d["_hash"] = hash(("Can", coalition._hash, child._hash))
+        d["_depth"] = child._depth + 1
 
 
 TOP = Top()
 _BOT = Neg(TOP)
+_CORE = frozenset((Top, Atom, Neg, And, Can))
 
 
 # -- sugar constructors; each returns a lowered core formula ----------------
@@ -295,40 +312,78 @@ class Walk(NamedTuple):
 
 def walk(f: Formula) -> Walk:
     """The measures of ``f``, computed by one iterative walk on the first
-    request and cached on ``f``; every later call returns the same object."""
+    request and cached on ``f``; every later call returns the same object.
+
+    A run of unary nodes is descended in one inner loop.  A subformula is
+    found again through its stored hash, and compared only on a hash hit."""
     if "_walk" in vars(f):
         return f._walk
-    slot: dict[Formula, int] = {}  # insertion order is the postorder
+    subs: list[Formula] = []  # the unique subformulas, in postorder
     slots: list[tuple[int, int]] = []
+    first: dict[int, int] = {}  # stored hash -> slot of the first one with it
+    clashes: dict[Formula, int] = {}  # unequal ones whose hash was taken
+    atoms: list[str] = []
+    coalitions: set[Coalition] = set()
+    last = None  # the coalition added last
     done: list[int] = []  # slots of the subformulas just finished, last on top
-    stack: list[Formula | None] = [f]  # None: finish the node below it
-    while stack:
-        g = stack.pop()
-        if g is None:
-            g = stack.pop()
-            y = done.pop()
-            x = done.pop() if type(g) is And else y
+    todo: list = [f]  # subformulas to visit; None: finish the run below it
+    while todo:
+        g = todo.pop()
+        if g is None:  # the operands of the And ending the run below are done
+            run, y, x = todo.pop(), done.pop(), done.pop()
         else:
-            if g in slot:
-                done.append(slot[g])
+            run = []  # new nodes from g down, outermost first
+            while True:
+                kind = g.__class__
+                if kind not in _CORE:
+                    raise TypeError(f"not a core formula: {g!r}")
+                x = y = first.get(g._hash)
+                if x is not None and subs[x] is not g and subs[x] != g:
+                    x = y = clashes.get(g)
+                if x is not None:
+                    break
+                run.append(g)
+                if kind is not Neg and kind is not Can:
+                    x = y = -1
+                    break
+                if kind is Can and g.coalition is not last:
+                    last = g.coalition
+                    coalitions.add(last)
+                g = g.child
+            if kind is And and x == -1:  # operands first, left to right
+                todo += (run, None, g.right, g.left)
                 continue
-            kind = type(g)
-            if kind is And:  # children first, left to right
-                stack += (g, None, g.right, g.left)
-                continue
-            if kind is Neg or kind is Can:
-                stack += (g, None, g.child)
-                continue
-            if kind is not Atom and kind is not Top:
-                raise TypeError(f"not a core formula: {g!r}")
-            x = y = -1
-        done.append(len(slots))
-        slot[g] = len(slots)
-        slots.append((x, y))
+            if kind is Atom and x == -1:
+                atoms.append(g.name)
+        for g in reversed(run):
+            n = len(subs)
+            if first.setdefault(g._hash, n) != n:
+                clashes[g] = n
+            subs.append(g)
+            slots.append((x, y))
+            x = y = n
+        done.append(x)
     f.__dict__["_walk"] = result = Walk(
-        tuple(slot), tuple(slots), frozenset(g.name for g in slot if type(g) is Atom),
-        frozenset(g.coalition for g in slot if type(g) is Can))
+        tuple(subs), tuple(slots), frozenset(atoms), frozenset(coalitions))
     return result
+
+
+def atoms_in(*parts: Formula) -> set[str]:
+    """The atoms of ``parts``, by a scan that caches no walk on them; each
+    ``And`` is entered once, so shared operands are not scanned again."""
+    names: set[str] = set()
+    entered: set[int] = set()
+    todo = list(parts)
+    while todo:
+        g = todo.pop()
+        while g.__class__ is Neg or g.__class__ is Can:
+            g = g.child
+        if g.__class__ is Atom:
+            names.add(g.name)
+        elif g.__class__ is And and id(g) not in entered:
+            entered.add(id(g))
+            todo += (g.left, g.right)
+    return names
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
@@ -371,113 +426,54 @@ def canonical_key(f: Formula) -> str:
 #   coal := "{" (ident ("," ident)*)? "}"
 #
 # "~" and the modalities bind tightest, then "&", "|", "->" (right
-# associative), "<->".  "[A]phi" is the dual of "<A>phi".  The four binary
-# levels are the table ``_BINARY``, loosest first, which one parser method
-# walks; a chain of prefix operators is read in a loop.
+# associative), "<->".  "[A]phi" is the dual of "<A>phi".  Tokens are
+# coarse: a run of "~" is one token, and so is a modality such as
+# "<{a, b}>".  One loop moves them onto an operand stack and an operator
+# stack (operator-precedence parsing, as in Dijkstra's shunting yard), so
+# parentheses and prefix chains nest to any depth without recursion.
 
-# an identifier, punctuation (longest first), or any other non-space
-# character, which is an error; ``\s`` is exactly ``str.isspace``
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(<->|->|[|&~<>\[\]{}(),])|\S")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_COAL = rf"\s*\{{\s*(?:{_IDENT}(?:\s*,\s*{_IDENT})*)?\s*\}}\s*"
+# 1 an identifier, 2 a run of "~", 3 a well-formed modality, 4 punctuation
+# (longest first), or any other non-space character, which is an error;
+# ``\s`` is exactly ``str.isspace``
+_TOKEN_RE = re.compile(rf"({_IDENT})|(~(?:\s*~)*)|(<{_COAL}>|\[{_COAL}\])"
+                       r"|(<->|->|[|&<>\[\]{}(),])|\S")
 _KEYWORDS = ("true", "false", "box", "dia")
-_BINARY = (("<->", iff), ("->", implies), ("|", lor), ("&", And))
-_PREFIX = ("~", "box", "dia", "<", "[")
+_LEVEL = {"<->": 0, "->": 1, "|": 2, "&": 3}  # loosest first
+_BINARY = (iff, implies, lor, And)  # by level
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        word, at = m.group(), m.start()
-        if m.lastindex is None:
-            raise ParseError(f"unexpected character {word!r}", at)
-        kind = "ident" if m.lastindex == 1 and word not in _KEYWORDS else word
-        tokens.append((kind, word, at))
-    return tokens
+def check_name(name: str) -> str:
+    """``name``, if formulas can write it as an agent or an atom: an
+    identifier that is not a keyword.  Raises ValueError otherwise."""
+    if not re.fullmatch(_IDENT, name) or name in _KEYWORDS:
+        raise ValueError(f"not a name formulas can write (an identifier other "
+                         f"than {', '.join(_KEYWORDS)}): {name!r}")
+    return name
 
 
-class _Parser:
-    def __init__(self, text: str, universe: AgentUniverse):
-        self.universe = universe
-        # the end marker's kind None matches no token kind
-        self.tokens = _tokenize(text) + [(None, "", len(text))]
-        self.pos = 0
-        self.coalitions: dict[tuple[str, ...], Coalition] = {}  # by member list
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.pos][0]
-
-    def _take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def binary(self, level: int = 0) -> Formula:
-        """The operators of ``_BINARY[level:]``; ``->`` groups to the right,
-        the others to the left."""
-        if level == len(_BINARY):
-            return self.unary()
-        op, build = _BINARY[level]
-        parts = [self.binary(level + 1)]
-        while self._peek() == op:
-            self.pos += 1
-            parts.append(self.binary(level + 1))
-        if op == "->":
-            return reduce(lambda right, left: build(left, right), reversed(parts))
-        return reduce(build, parts)
-
-    def unary(self) -> Formula:
-        wraps = []  # the prefix operators, outermost first
-        while (kind := self._peek()) in _PREFIX:
-            self.pos += 1
-            if kind == "~":
-                wraps.append(Neg)
-            elif kind == "box" or kind == "dia":
-                wraps.append(partial(box if kind == "box" else dia, self.universe))
-            else:
-                coal = self.coal()
-                self._take(">" if kind == "<" else "]")
-                wraps.append(partial(Can if kind == "<" else dual, coal))
-        f = self.atom()
-        for wrap in reversed(wraps):
-            f = wrap(f)
-        return f
-
-    def atom(self) -> Formula:
-        kind, word, at = self.tokens[self.pos]
-        if kind == "(":
-            self.pos += 1
-            f = self.binary()
-            self._take(")")
-            return f
-        if kind == "true":
-            f = TOP
-        elif kind == "false":
-            f = bot()
-        elif kind == "ident":
-            f = Atom(word)
+def _coalition(text: str, at: int, universe: AgentUniverse) -> Coalition:
+    """The coalition of the modality that opens at ``at``, read token by
+    token as ``coal`` and its closing ">" or "]"; raises the ParseError of
+    the first token that does not fit."""
+    close, members, want = ">" if text[at] == "<" else "]", [], "{"
+    # want: "{", "first" (an ident or "}"), "ident", "," (or "}"), then close
+    for m in chain(_TOKEN_RE.finditer(text, at + 1), (None,)):
+        word, pos = (m.group(), m.start()) if m else ("", len(text))
+        if word == want and want in ("{", ",", close):
+            if want == close:
+                return universe.coalition(*members)
+            want = "first" if want == "{" else "ident"
+        elif want in ("first", "ident") and m and m.lastindex == 1 and word not in _KEYWORDS:
+            if word not in universe:
+                raise ParseError(f"unknown agent {word!r}", pos)
+            members.append(word)
+            want = ","
+        elif want in ("first", ",") and word == "}":
+            want = close
         else:
-            raise ParseError("expected a formula", at)
-        self.pos += 1
-        return f
-
-    def coal(self) -> Coalition:
-        self._take("{")
-        members: list[str] = []
-        if self._peek() == "ident":
-            while True:
-                _, name, at = self._take("ident")
-                if name not in self.universe:
-                    raise ParseError(f"unknown agent {name!r}", at)
-                members.append(name)
-                if self._peek() != ",":
-                    break
-                self.pos += 1
-        self._take("}")
-        key = tuple(members)
-        if key not in self.coalitions:
-            self.coalitions[key] = self.universe.coalition(*members)
-        return self.coalitions[key]
+            raise ParseError(f"expected {'}' if want in ('first', ',') else want!r}", pos)
 
 
 def agents_mentioned(text: str) -> tuple[str, ...]:
@@ -486,31 +482,100 @@ def agents_mentioned(text: str) -> tuple[str, ...]:
     Lets callers default the grand coalition to exactly the agents a
     formula talks about.
     """
-    names: list[str] = []
+    names: dict[str, None] = {}
     depth = 0
-    for kind, word, _ in _tokenize(text):
-        if kind == "{":
-            depth += 1
-        elif kind == "}":
-            depth = max(0, depth - 1)
-        elif kind == "ident" and depth and word not in names:
-            names.append(word)
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastindex, m.group()
+        if kind is None:
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        depth = max(0, depth + (word == "{") - (word == "}"))
+        found = re.findall(_IDENT, word) if kind == 3 else (word,) if kind == 1 and depth else ()
+        names.update((name, None) for name in found if name not in _KEYWORDS)
     return tuple(names)
 
 
 def parse(text: str, universe: AgentUniverse) -> Formula:
     """Parse ``text`` into a lowered core formula.
 
-    Raises ParseError on syntax errors, unknown agents, or empty input.
+    Raises ParseError on syntax errors, unknown agents, or empty input; an
+    unexpected character anywhere is reported before any other error.
     """
-    parser = _Parser(text, universe)
-    if len(parser.tokens) == 1:
-        raise ParseError("empty input", 0)
-    f = parser.binary()
-    kind, word, at = parser.tokens[parser.pos]
-    if kind is not None:
-        raise ParseError(f"unexpected token {word!r}", at)
-    return f
+    try:
+        return _parse(text, universe)
+    except ParseError as exc:  # the tokens before the failure were all read
+        for m in _TOKEN_RE.finditer(text, exc.position):
+            if m.lastindex is None:
+                raise ParseError(f"unexpected character {m.group()!r}", m.start()) from None
+        raise
+
+
+def _parse(text: str, universe: AgentUniverse) -> Formula:
+    operands: list[Formula] = []
+    ops: list = []  # binary levels, "(" markers and prefix runs [build, arg, count]
+    coalitions: dict[str, Coalition] = {}  # by modality text
+    depth, operand = 0, True  # open parentheses; whether an operand comes next
+
+    def fold(level: int) -> None:
+        """Apply the pending binary operators that bind tighter than one of
+        ``level`` (-1: all of them, down to the innermost "(")."""
+        while ops and ops[-1].__class__ is int and (ops[-1] > level or ops[-1] == level != 1):
+            right = operands.pop()
+            operands[-1] = _BINARY[ops.pop()](operands[-1], right)
+
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastindex, m.group()
+        if not operand:
+            if word in _LEVEL:
+                fold(_LEVEL[word])
+                ops.append(_LEVEL[word])
+                operand = True
+                continue
+            if word != ")" or not depth:
+                shown = word[0] if kind == 2 or kind == 3 else word
+                raise ParseError("expected ')'" if depth else f"unexpected token {shown!r}",
+                                 m.start())
+            fold(-1)
+            ops.pop()
+            depth -= 1
+            f = operands.pop()
+        elif kind == 1 and word not in _KEYWORDS:
+            f = Atom(word)
+        elif word == "true" or word == "false":
+            f = TOP if word == "true" else _BOT
+        elif word == "(":
+            ops.append(word)
+            depth += 1
+            continue
+        else:
+            if kind == 1:  # box or dia
+                build, arg, count = box if word == "box" else dia, universe, 1
+            elif kind == 2:
+                build, arg, count = Neg, None, word.count("~")
+            elif kind == 3 or word == "<" or word == "[":  # a lone "<" fails here
+                if word not in coalitions:
+                    coalitions[word] = _coalition(text, m.start(), universe)
+                build, arg, count = Can if word[0] == "<" else dual, coalitions[word], 1
+            else:
+                raise ParseError("expected a formula", m.start())
+            top = ops[-1] if ops else None
+            if top.__class__ is list and top[0] is build and top[1] is arg:
+                top[2] += count
+            else:
+                ops.append([build, arg, count])
+            continue
+        while ops and ops[-1].__class__ is list:  # apply the prefix runs before f
+            build, arg, count = ops.pop()
+            for _ in range(count):
+                f = build(f) if arg is None else build(arg, f)
+        operands.append(f)
+        operand = False
+    if operand:
+        raise ParseError("expected a formula", len(text)) if ops or operands \
+            else ParseError("empty input", 0)
+    if depth:
+        raise ParseError("expected ')'", len(text))
+    fold(-1)
+    return operands[0]
 
 
 # -- printing -----------------------------------------------------------------

@@ -119,7 +119,6 @@ _PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
 
 @pytest.mark.parametrize("argv", [
     ("valid", "--agents", "a", "--formula", f"{_PAIR_CHAIN} -> {_PAIR_CHAIN}"),
-    ("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 3000),
     # fuzz configurations that cannot generate a formula
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "2"),
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "0",
@@ -129,15 +128,36 @@ _PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
     ("fuzz", "--agents", "a", "--formulas", "-2"),
     ("fuzz", "--agents", "a", "--formulas", "1", "--samples", "-1"),
     ("fuzz", "--agents", "a", "--scheme-models", "-3"),
-    # the second conjunct nests too deeply for the parser
-    ("nf", "--agents", "a", "--formula",
-     "p | (<{a}>q & " + "(" * 3000 + "<{a}>r" + ")" * 3000 + ")"),
 ])
 def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 3000), "p\n"),
+    (("nf", "--agents", "a", "--formula",
+      "p | (<{a}>q & " + "(" * 3000 + "<{a}>r" + ")" * 3000 + ")"),
+     "p | (true -> <{a}>q | <{a}>~true)\np | (true -> <{a}>r | <{a}>~true)\n"),
+], ids=["parse", "nf"])
+def test_deep_parentheses_succeed(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("valid", "--agents", "a,b-c", "--formula", "<{a}>p"), "b-c"),
+    (("parse", "--agents", "a,true", "--formula", "<{true}>p"), "true"),
+    (("nf", "--agents", "a,1b", "--formula", "<{a}>p"), "1b"),
+    (("fuzz", "--agents", "a", "--atoms", "p,box"), "box"),
+    (("fuzz", "--agents", "a", "--atoms", "p,q r"), "q r"),
+])
+def test_names_the_grammar_cannot_write_exit_1(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: not a name formulas can write (an identifier other "
+                   f"than true, false, box, dia): {name!r}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import mcl
 from mcl import (TOP, AgentUniverse, And, Atom, Can, Neg, ParseError, Top,
                  atoms_of, bot, box, canonical_key, coalitions_of, dia, dual,
                  implies, lor, modal_depth, parse, pretty, subformulas)
-from mcl.formula import walk
+from mcl.formula import agents_mentioned, atoms_in, walk
+from mcl.oracle import random_formula
 
 
 def test_parse_constants(ab):
@@ -71,6 +73,17 @@ def test_precedence(ab):
     (")", "expected a formula", 0),
     ("p q", "unexpected token 'q'", 2),
     ("<{c}>p", "unknown agent 'c'", 2),
+    # the edges of a one-token modality and of a run of "~"
+    ("<{a}]p", "expected '>'", 4),
+    ("[{a}>p", "expected ']'", 4),
+    ("<{a,,b}>p", "expected 'ident'", 4),
+    ("<{a}", "expected '>'", 4),
+    ("p & ~ ~", "expected a formula", 7),
+    ("<{a}><{c}>p", "unknown agent 'c'", 7),
+    ("<{true}>p", "expected '}'", 2),
+    ("p <{a}>q", "unexpected token '<'", 2),
+    ("(p ~~q)", "expected ')'", 3),
+    ("<{a} $", "unexpected character '$'", 5),
 ])
 def test_parse_errors(ab, text, message, position):
     with pytest.raises(ParseError) as exc:
@@ -82,21 +95,25 @@ def test_parse_errors(ab, text, message, position):
 @pytest.mark.parametrize("space", ["\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c"])
 def test_unicode_whitespace_separates_tokens(ab, space):
     assert parse(space + "p" + space + "&" + space + "q" + space, ab) == And(Atom("p"), Atom("q"))
+    modality = space.join(["", "[", "{", "a", ",", "b", "}", "]", "~", "~", "p"])
+    assert parse(modality, ab) == dual(ab.grand, Neg(Neg(Atom("p"))))
 
 
-@pytest.mark.parametrize("prefix, wrap, depth", [
-    ("~", lambda ab, f: Neg(f), 0),
-    ("<{a}>", lambda ab, f: Can(ab.coalition("a"), f), 1),
-    ("[{a}]", lambda ab, f: dual(ab.coalition("a"), f), 1),
-    ("box ", box, 1),
-    ("dia ", dia, 1),
-], ids=["neg", "can", "dual", "box", "dia"])
-def test_deep_prefix_chains_parse_without_recursion(ab, prefix, wrap, depth):
+@pytest.mark.parametrize("prefix, suffix, wrap, depth", [
+    ("~", "", lambda ab, f: Neg(f), 0),
+    ("<{a}>", "", lambda ab, f: Can(ab.coalition("a"), f), 1),
+    ("[{a}]", "", lambda ab, f: dual(ab.coalition("a"), f), 1),
+    ("box ", "", box, 1),
+    ("dia ", "", dia, 1),
+    ("(", ")", lambda ab, f: f, 0),
+    ("(~(<{a}>(", ")))", lambda ab, f: Neg(Can(ab.coalition("a"), f)), 1),
+], ids=["neg", "can", "dual", "box", "dia", "parens", "mixed"])
+def test_deep_prefix_chains_parse_without_recursion(ab, prefix, suffix, wrap, depth):
     n = 10_000
     expected = Atom("p")
     for _ in range(n):
         expected = wrap(ab, expected)
-    f = parse(prefix * n + "p", ab)
+    f = parse(prefix * n + "p" + suffix * n, ab)
     assert f == expected
     assert modal_depth(f) == depth * n
 
@@ -293,6 +310,71 @@ def test_measures_of_a_non_formula_raise_type_error(measure, value):
         measure(value)
 
 
+def _reference_walk(f):
+    """walk's measures, by plain recursion over the formula."""
+    slot, slots = {}, []
+
+    def visit(g):
+        if g not in slot:
+            if isinstance(g, And):
+                kids = (visit(g.left), visit(g.right))
+            elif isinstance(g, (Neg, Can)):
+                kids = (visit(g.child),) * 2
+            else:
+                kids = (-1, -1)
+            slot[g] = len(slots)
+            slots.append(kids)
+        return slot[g]
+
+    visit(f)
+    return (tuple(slot), tuple(slots), frozenset(g.name for g in slot if isinstance(g, Atom)),
+            frozenset(g.coalition for g in slot if isinstance(g, Can)))
+
+
+def _ladders(n):
+    """The benchmark's four ladder families at size n (README, Benchmark)."""
+    cnf = " | ".join(f"(<{{a}}>p{i} & <{{b}}>q{i})" for i in range(n // 30))
+    weak = " | ".join(f"(<{{a,b}}>p{i} & <{{b}}>q{i})" for i in range(n // 30))
+    return ["<{a}>" * n + "p", "~" * (2 * n) + "(p | ~p)", cnf, f"({cnf}) -> ({weak})"]
+
+
+def test_walk_matches_a_recursive_reference():
+    rng = random.Random(14)
+    for agents in ("a", "ab", "abc"):
+        u = AgentUniverse(tuple(agents))
+        formulas = [random_formula(rng, u, ("p", "q", "r"), rng.randint(0, 3),
+                                   rng.randint(2, 12)) for _ in range(1000)]
+        if agents == "ab":
+            formulas += [parse(text, u) for n in (60, 300) for text in _ladders(n)]
+        for f in formulas:
+            expected = _reference_walk(f)
+            assert tuple(walk(f)) == expected
+            assert atoms_in(f) == expected[2]
+
+
+def test_walk_keeps_equal_subformulas_with_a_clashing_hash_apart(ab, monkeypatch):
+    # every node hashes alike, so each lookup finds a hash hit to compare
+    p, q, p2 = Atom("p"), Atom("q"), Atom("p")
+    nodes = [p, q, p2, And(p, q), And(q, p), And(p2, q)]
+    nodes += [Neg(g) for g in nodes[3:]]
+    nodes.append(And(nodes[7], nodes[8]))
+    nodes.append(And(nodes[6], nodes[-1]))
+    expected = _reference_walk(nodes[-1])
+    for g in nodes:
+        g.__dict__["_hash"] = 7
+    assert tuple(walk(nodes[-1])) == expected
+    assert len(expected[0]) == 8
+
+
+def test_agents_mentioned_lists_names_in_braces_in_first_mention_order():
+    assert agents_mentioned("<{c, a}>p & [{b,a}]q | <{}>x & c") == ("c", "a", "b")
+    assert agents_mentioned("{ b } p <{a b}>") == ("b", "a")  # malformed text too
+    assert agents_mentioned("<{true, d}>p") == ("d",)
+    assert agents_mentioned("p -> q") == ()
+    with pytest.raises(ParseError, match="unexpected character '\\$'"):
+        agents_mentioned("<{a}>$")
+
+
 def test_cached_subformulas_cannot_be_mutated(ab):
     f = parse("(p & q) | <{a}>(p & q)", ab)
     subs = subformulas(f)
@@ -304,16 +386,16 @@ def test_cached_subformulas_cannot_be_mutated(ab):
 
 _PICKLE_SCRIPT = """
 import pickle, sys
-from mcl import AgentUniverse, parse
+from mcl import AgentUniverse, Atom, Can, parse
 u = AgentUniverse.of("a", "b")
-text = "<{a}>(p & ~<{a,b}>q) | [{b}]r"
+values = (parse("<{a}>(p & ~<{a,b}>q) | [{b}]r", u), u.coalition("a", "b"),
+          Can(u.coalition("b"), Atom("p")))
 if sys.argv[1] == "dump":
-    sys.stdout.buffer.write(pickle.dumps(parse(text, u)))
+    sys.stdout.buffer.write(pickle.dumps(values))
 else:
-    g = pickle.loads(sys.stdin.buffer.read())
-    f = parse(text, u)
-    assert g == f and hash(g) == hash(f)
-    assert {f: "ok"}[g] == "ok" and {g: "ok"}[f] == "ok"
+    for g, f in zip(pickle.loads(sys.stdin.buffer.read()), values):
+        assert g == f and hash(g) == hash(f)
+        assert {f: "ok"}[g] == "ok" and {g: "ok"}[f] == "ok"
     print("ok")
 """
 
