@@ -119,6 +119,8 @@ _PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
 
 @pytest.mark.parametrize("argv", [
     ("valid", "--agents", "a", "--formula", f"{_PAIR_CHAIN} -> {_PAIR_CHAIN}"),
+    # deep parentheses with one closer missing
+    ("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 2999),
     # fuzz configurations that cannot generate a formula
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "2"),
     ("fuzz", "--agents", "a", "--atoms", ",", "--formulas", "0",
