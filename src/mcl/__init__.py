@@ -17,7 +17,7 @@ from .semantics import PointedModel, ensures, eval_all, holds
 from .normalform import (Ni0Summary, StandardFormula, gamma_is_tautology, ni0,
                          standard_clauses, to_standard_conjunction)
 from .decide import (CertificationError, ClauseOutcome, GameForm, SatVerdict,
-                     Verdict, build_countermodel, build_countermodel_detailed,
+                     Verdict, build_countermodel_detailed,
                      decide_sat, decide_valid, hub_facts, pair_implication)
 from .oracle import (BudgetExceededError, DifferentialConfig,
                      DifferentialReport, Discrepancy, SearchBounds,

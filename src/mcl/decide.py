@@ -14,7 +14,7 @@ ends the decision.  A standard clause is valid exactly when
       A_i a subset of B_j make (phi_NI0 & phi_i) -> psi_j valid,
 
 where phi_NI0 conjoins the goals of the empty-coalition negative entries.
-The recursion strictly lowers modal depth, so it terminates.
+Each reduction strictly lowers modal depth, so the decision terminates.
 
 When a clause fails both cases, a refuting pointed model is grafted: one
 fresh hub state plays a one-round game whose outcomes are the entry states
@@ -27,21 +27,20 @@ a subset of B_j, a spoiler profile lambda^(i,j) differs from sigma^i only
 in that a witness agent from A_i - B_j plays beta_(i,j) instead, and it
 leads everywhere.
 
-Refutations are memoized unassembled, per decision, by the formula itself
-(its stored hash and iterative equality) and for pair goals also by their
-parts (phi_NI0, phi_i, psi_j), so each distinct pair goal is built and
-decided once.  The decision's countermodel is assembled once, from the
-root, and certified once: every "invalid" verdict carries a countermodel
-on which the model checker confirms falsity.  The normal form, the depth-0
-path and the assembly work on explicit stacks (``~`` 10^4 times before
-``<{a}>p`` decides); only the decider recurses, once per pair reduction,
-so chains of pair reductions stay bounded by Python's recursion limit.
+The decision runs on one explicit stack (``_run``): a clause yields the
+decision of each pair goal it needs and is sent the result, so chains of
+pair reductions nest at any depth.  Pair verdicts are memoized
+unassembled, per decision, by their parts (phi_NI0, phi_i, psi_j), so each
+distinct pair goal is built and decided once.  The decision's countermodel
+is assembled once, from the root, and certified once: every "invalid"
+verdict carries a countermodel on which the model checker confirms
+falsity.  Only the assembly declares the model's atoms and actions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
-from typing import Iterable
 
 # canonical_key, rename_disjoint and to_standard_conjunction stay imported,
 # unused: bench/spans.py patches them by these names in this module
@@ -96,19 +95,18 @@ class GameForm:
 @dataclass(frozen=True, eq=False)
 class _Refutation:
     """An unassembled countermodel: a dead end's label, or a hub's label and
-    game form with one child per target; atoms and actions of the whole."""
+    game form with one child per target."""
 
     label: frozenset[str]
-    atoms: tuple[str, ...]
-    actions: tuple[str, ...] = ("idle",)
     form: GameForm | None = None
     children: tuple[_Refutation, ...] = ()
 
 
 # a refutation (None when valid) and the clause trace that settled it
 _Decided = tuple[_Refutation | None, tuple[ClauseOutcome, ...]]
-# one decision's results, by formula and by pair parts (phi_NI0, phi_i, psi_j)
-_Memo = dict[Formula | tuple[Formula, Formula, Formula], _Decided]
+# one decision's pair verdicts, by pair parts (phi_NI0, phi_i, psi_j)
+_Memo = dict[tuple[Formula, Formula, Formula], _Decided]
+_Step = Generator["_Step", _Decided, tuple]  # a decision step; see _run
 
 
 class CertificationError(RuntimeError):
@@ -144,18 +142,37 @@ def _refute(f: Formula, universe: AgentUniverse
             ) -> tuple[PointedModel | None, tuple[ClauseOutcome, ...]]:
     """The certified countermodel of ``f`` (None when valid) and its trace."""
     _check_universe(f, universe)
-    node, trace = _decide(f, universe, {})
+    node, trace = _run(_decide(f, universe, {}))
     if node is None:
         return None, trace
-    return _certified(node, universe, f, "countermodel does not refute the formula"), trace
+    return _certified(node, universe, f, trace[-1].clause,
+                      "countermodel does not refute the formula"), trace
 
 
-def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Decided:
-    hit = memo.get(f)
-    if hit is None:
-        hit = memo[f] = (_decide_propositional(f, universe) if modal_depth(f) == 0
-                         else _decide_modal(f, universe, memo))
-    return hit
+def _run(decision: _Step) -> tuple:
+    """The result of ``decision``, run on one explicit stack: the top step is
+    sent the last result, what it yields is pushed, and when it returns it is popped."""
+    stack, value = [decision], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Step:
+    if modal_depth(f) == 0:
+        return _decide_propositional(f, universe)
+    trace: list[ClauseOutcome] = []
+    for sf in standard_clauses(f, universe):
+        outcome, refutations = yield from _decide_clause(sf, universe, memo)
+        trace.append(outcome)
+        if outcome.case == "refuted":
+            return _graft(outcome, refutations, universe), tuple(trace)
+    return None, tuple(trace)
 
 
 # -- propositional base case ----------------------------------------------------
@@ -176,7 +193,7 @@ def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
         column = semantics.eval_all(model, f)
         for state, label in zip(states, labels):
             if not column[state]:
-                return _Refutation(label, names), trace
+                return _Refutation(label), trace
         start, size = masks.stop, min(2 * size, 256)
     return None, trace
 
@@ -190,21 +207,9 @@ def pair_implication(sf: StandardFormula, i: int, j: int,
     return implies(And(phi0, sf.ni[i][1]), sf.pi[j][1])
 
 
-def _decide_modal(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Decided:
-    trace: list[ClauseOutcome] = []
-    for sf in standard_clauses(f, universe):
-        outcome, refutations = _decide_clause(sf, universe, memo)
-        trace.append(outcome)
-        if outcome.case == "refuted":
-            return (_graft(outcome, refutations, universe, sorted(atoms_of(f))),
-                    tuple(trace))
-    return None, tuple(trace)
-
-
-def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
-                   ) -> tuple[ClauseOutcome, list[_Refutation]]:
-    """How the clause is settled, and for a refuted clause the refutation
-    of each failed pair reduction, in ``failed_pairs`` order."""
+def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo) -> _Step:
+    """The step settling the clause: its outcome, and for a refuted clause
+    the refutation of each failed pair reduction, in ``failed_pairs`` order."""
     if gamma_is_tautology(sf.gamma):
         return ClauseOutcome(sf, "gamma"), []
     phi0 = ni0(sf).phi
@@ -219,7 +224,7 @@ def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
             key = (phi0, phi, psi)
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = _decide(pair_implication(sf, i, j, phi0), universe, memo)
+                hit = memo[key] = yield _decide(pair_implication(sf, i, j, phi0), universe, memo)
             if hit[0] is None:
                 return ClauseOutcome(sf, "pair", pair=(i, j)), []
             failed.append((i, j))
@@ -229,42 +234,34 @@ def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo
 
 # -- countermodel construction ------------------------------------------------------
 
-def build_countermodel(sf: StandardFormula, universe: AgentUniverse) -> PointedModel:
-    """A pointed GCGM falsifying the clause ``sf``.
+def build_countermodel_detailed(sf: StandardFormula,
+                                universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
+    """A pointed GCGM falsifying the clause ``sf``, and its hub game form
+    (None for the dead-end case with an empty negative side).
 
     Precondition: gamma is not a tautology and every pair reduction fails;
     raises ValueError otherwise.
     """
-    return build_countermodel_detailed(sf, universe)[0]
-
-
-def build_countermodel_detailed(sf: StandardFormula,
-                                universe: AgentUniverse) -> tuple[PointedModel, GameForm | None]:
-    """As ``build_countermodel``, also returning the hub game form (None for
-    the dead-end case with an empty negative side)."""
-    _check_universe(sf.to_formula(), universe)
-    outcome, refutations = _decide_clause(sf, universe, {})
+    f = sf.to_formula()
+    _check_universe(f, universe)
+    outcome, refutations = _run(_decide_clause(sf, universe, {}))
     if outcome.case != "refuted":
         raise ValueError("clause is valid; no countermodel exists")
-    node = _graft(outcome, refutations, universe, ())
-    pm = _certified(node, universe, sf.to_formula(),
-                    "grafted model does not refute the clause")
+    node = _graft(outcome, refutations, universe)
+    pm = _certified(node, universe, f, sf, "grafted model does not refute the clause")
     return pm, node.form
 
 
 def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
-           universe: AgentUniverse, extra_atoms: Iterable[str]) -> _Refutation:
+           universe: AgentUniverse) -> _Refutation:
     """The refutation of the clause ``outcome.clause``, grafted from those of
-    its failed pairs (in ``failed_pairs`` order).  Its model declares the
-    clause's atoms, then the children's, then the ``extra_atoms``."""
+    its failed pairs (in ``failed_pairs`` order)."""
     sf = outcome.clause
     # the atoms that ~gamma makes true; atoms outside gamma stay false
     hub_label = frozenset(lit.child.name for lit in sf.gamma if isinstance(lit, Neg))
-    atoms: list[str] = sorted(atoms_in(*sf.gamma, *(g for _, g in sf.ni + sf.pi)))
 
     if not sf.ni:
-        atoms.extend(a for a in extra_atoms if a not in atoms)
-        return _Refutation(hub_label, tuple(atoms))
+        return _Refutation(hub_label)
 
     pairs_out = [(i, j)
                  for i in range(len(sf.ni)) for j in range(len(sf.pi))
@@ -288,19 +285,20 @@ def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
         assignment[next(a for a in agents if a in spare)] = beta[(i, j)]
         hub_rows[JointAction.of(assignment)] = all_targets
 
-    actions: list[str] = list(hub_actions)
-    for child in refutations:
-        atoms.extend(a for a in child.atoms if a not in atoms)
-        actions.extend(x for x in child.actions if x not in actions)
-    atoms.extend(a for a in extra_atoms if a not in atoms)
-    return _Refutation(hub_label, tuple(atoms), tuple(actions),
-                       GameForm("s0", targets, hub_actions, hub_rows), tuple(refutations))
+    return _Refutation(hub_label, GameForm("s0", targets, hub_actions, hub_rows),
+                       tuple(refutations))
 
 
 def _certified(root: _Refutation, universe: AgentUniverse, f: Formula,
-               failure: str) -> PointedModel:
-    """The model of ``root``, with states named by path in preorder, once
-    the model checker confirms that ``f`` is false at its hub ``s0``."""
+               clause: StandardFormula | None, failure: str) -> PointedModel:
+    """The model of ``root``, states named by path in preorder, once the model
+    checker confirms that ``f`` is false at its hub ``s0``.  It declares the
+    refuted ``clause``'s atoms (None at depth 0; they hold every pair goal's),
+    then the rest of ``f``'s, each sorted, and the hubs' actions in preorder."""
+    atoms = [] if clause is None else sorted(
+        atoms_in(*clause.gamma, *(g for _, g in clause.ni + clause.pi)))
+    atoms += sorted(atoms_of(f).difference(atoms))
+    actions: dict[str, None] = {}
     states: list[str] = []
     label: dict[str, frozenset[str]] = {}
     out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
@@ -310,12 +308,13 @@ def _certified(root: _Refutation, universe: AgentUniverse, f: Formula,
         hub = prefix + "s0"
         states.append(hub)
         label[hub] = node.label
+        actions.update(dict.fromkeys(("idle",) if node.form is None else node.form.actions))
         if node.form is not None:
             for profile, targets in node.form.out0.items():
                 out_ag[(hub, profile)] = frozenset(prefix + t for t in targets)
         stack.extend((f"{prefix}g{k}.", node.children[k])
                      for k in reversed(range(len(node.children))))
-    pm = PointedModel(GameModel(universe, root.atoms, root.actions, tuple(states),
+    pm = PointedModel(GameModel(universe, tuple(atoms), tuple(actions), tuple(states),
                                 label, out_ag), "s0")
     if holds(pm, f):
         raise CertificationError(failure)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .formula import AgentUniverse, Coalition
+from .formula import AgentUniverse, Coalition, check_name
 
 
 class ModelError(ValueError):
@@ -468,11 +468,17 @@ def from_json_dict(data: dict) -> GameModel:
         raise ModelError("model document must be an object")
     try:
         agents = tuple(_strings(data, "agents"))
+        atoms = tuple(_strings(data, "atoms"))
+        for key, names in (("agents", agents), ("atoms", atoms)):
+            for k, name in enumerate(names):
+                try:
+                    check_name(name)
+                except ValueError as exc:
+                    raise ModelError(f"{key}[{k}]: {exc}") from exc
         try:
             universe = AgentUniverse(agents)
         except ValueError as exc:
             raise ModelError(f"agents: {exc}") from exc
-        atoms = tuple(_strings(data, "atoms"))
         actions = tuple(_strings(data, "actions"))
         states: list[str] = []
         label: dict[str, frozenset[str]] = {}

@@ -6,6 +6,7 @@ import pytest
 
 import mcl.cli
 import mcl.decide
+import mcl.model
 from mcl import PointedModel, dumps, holds, load_fixture, loads, parse, save
 from mcl.cli import build_parser, main
 
@@ -114,11 +115,9 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     assert code == 1
 
 
-_PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
-
-
 @pytest.mark.parametrize("argv", [
-    ("valid", "--agents", "a", "--formula", f"{_PAIR_CHAIN} -> {_PAIR_CHAIN}"),
+    # oracle.random_formula recurses once per level of --depth
+    ("fuzz", "--agents", "a", "--depth", "3000", "--formulas", "1"),
     # deep parentheses with one closer missing
     ("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 2999),
     # fuzz configurations that cannot generate a formula
@@ -136,6 +135,16 @@ def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+_PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
+
+
+def test_pair_chains_decide(capsys):
+    code, out, err = run(capsys, "valid", "--agents", "a",
+                         "--formula", f"{_PAIR_CHAIN} -> {_PAIR_CHAIN}")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "VALID"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -160,6 +169,17 @@ def test_names_the_grammar_cannot_write_exit_1(capsys, argv, name):
     assert (code, out) == (1, "")
     assert err == ("error: not a name formulas can write (an identifier other "
                    f"than true, false, box, dia): {name!r}\n")
+
+
+def test_classify_rejects_a_name_formulas_cannot_write(capsys, tmp_path):
+    doc = mcl.model.to_json_dict(load_fixture("two_masks"))
+    doc["agents"] = ["a", "b-c"]
+    target = tmp_path / "m.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--model", str(target))
+    assert (code, out) == (1, "")
+    assert err == ("error: agents[1]: not a name formulas can write (an identifier "
+                   "other than true, false, box, dia): 'b-c'\n")
 
 
 @pytest.mark.parametrize("argv", [

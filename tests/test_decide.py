@@ -1,10 +1,11 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
 from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
-                 PointedModel, StandardFormula, atoms_of, bot, build_countermodel,
+                 PointedModel, StandardFormula, atoms_of, bot,
                  build_countermodel_detailed, classify, decide_sat,
                  decide_valid, dumps, holds, hub_facts, implies, loads, lor,
                  modal_depth, pair_implication, parse, pretty,
@@ -256,7 +257,7 @@ def test_a_clause_of_another_universe_is_rejected(ab, solo):
 
 def test_dead_end_branch_for_empty_negative_side(ab):
     sf = _refuted_clause("<{a}>true", ab)
-    pm = build_countermodel(sf, ab)
+    pm = build_countermodel_detailed(sf, ab)[0]
     assert pm.model.out_ag == {}
     assert not holds(pm, sf.to_formula())
 
@@ -331,7 +332,7 @@ def test_hub_claim_unique_extension(ab):
 def test_build_countermodel_requires_a_refuted_clause(ab):
     (sf,) = to_standard_conjunction(parse("~<{a,b}>false", ab), ab)
     with pytest.raises(ValueError):
-        build_countermodel(sf, ab)
+        build_countermodel_detailed(sf, ab)[0]
 
 
 def test_countermodel_declares_all_atoms_of_the_input(ab):
@@ -412,7 +413,7 @@ def test_the_decider_converts_clauses_up_to_the_first_refuted_one(ab, monkeypatc
     assert not v.valid and len(converted) == 1
     eager = to_standard_conjunction(f, ab)
     assert len(eager) == 1024
-    assert v.trace == (decide._decide_clause(eager[0], ab, {})[0],)
+    assert v.trace == (decide._run(decide._decide_clause(eager[0], ab, {}))[0],)
 
 
 def test_the_decider_builds_each_pair_goal_as_pair_implication(ab, monkeypatch):
@@ -431,7 +432,7 @@ def test_the_decider_builds_each_pair_goal_as_pair_implication(ab, monkeypatch):
     for _ in range(300):
         f = random_formula(rng, ab, ("p", "q"), rng.randint(1, 2))
         for sf in to_standard_conjunction(f, ab):
-            decide._decide_clause(sf, ab, {})
+            decide._run(decide._decide_clause(sf, ab, {}))
     assert len(built) > 200
     assert any(len(sf.ni) > 2 for sf, *_ in built)
     for sf, i, j, goal in built:
@@ -486,6 +487,46 @@ def test_a_chain_is_assembled_and_certified_once(solo, monkeypatch):
     assert semantics.eval_all(w.model, f)[w.state]
 
 
+def test_pair_chains_decide_under_the_default_recursion_limit(solo):
+    assert sys.getrecursionlimit() < 10_000
+    chain = "<{a}>" * 10_000 + "p"
+    assert valid(f"{chain} -> {chain}", solo).valid
+
+
+def test_a_chain_witness_has_two_states_per_level(solo):
+    f = parse("<{a}>" * 1000 + "p", solo)
+    w = decide_sat(f, solo).witness
+    assert len(w.model.states) == 2001
+    assert holds(w, f)
+
+
+def test_a_chain_reads_its_atoms_at_most_three_times(solo, monkeypatch):
+    # the assembly declares the atoms, so no level of the chain walks its
+    # goal for them
+    calls = {"atoms_of": 0}
+    _counted(monkeypatch, decide, "atoms_of", calls)
+    assert decide_sat(parse("<{a}>" * 200 + "p", solo), solo).satisfiable
+    assert calls["atoms_of"] <= 3
+
+
+def test_nested_countermodel_bytes_are_pinned():
+    # atom and action declarations of seeded models with grafts nested
+    # under grafts, pinned as one digest
+    digest, nested = hashlib.sha256(), 0
+    for agents in (("a", "b"), ("a", "b", "c")):
+        u = AgentUniverse(agents)
+        rng = random.Random(f"nested:{len(agents)}")
+        for _ in range(250):
+            f = random_formula(rng, u, ("p", "q", "r"), rng.randint(2, 3), 12)
+            for pm in (decide_valid(f, u).countermodel, decide_sat(f, u).witness):
+                if pm is not None:
+                    digest.update(dumps(pm.model).encode())
+                    nested += any(".g" in s for s in pm.model.states)
+    assert nested >= 300
+    assert digest.hexdigest() == \
+        "38293acd332b91983af4b954edd5e710c55fa60e1aebf31e09dddd7e398b37f5"
+
+
 @pytest.mark.parametrize("agents, text, sha256", [
     (("a", "b"),
      "~(~(~<{a,b}><{b}>~r & ~<{a,b}><{b}><{b}>~q) & ~<{}>(<{a}><{a,b}>~p & r))",
@@ -495,8 +536,8 @@ def test_a_chain_is_assembled_and_certified_once(solo, monkeypatch):
      "1bc3b8f66d5d4f01513dc76aa52cafb5942a4eeb1bbba93b41620dbfc5bfe2a0"),
 ], ids=["atoms-in-first-occurrence-order", "nested-independence"])
 def test_countermodel_bytes_are_pinned(agents, text, sha256):
-    # atoms are declared clause first, then by sub-model: the first model
-    # declares ('p', 'r', 'q'), not sorted
+    # atoms are declared refuted root clause first, then the rest of the
+    # input's, each sorted: the first model declares ('p', 'r', 'q')
     u = AgentUniverse(agents)
     pm = valid(text, u).countermodel
     assert hashlib.sha256(dumps(pm.model).encode()).hexdigest() == sha256

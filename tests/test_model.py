@@ -294,6 +294,18 @@ def test_document_shape_errors(ab):
         from_json_dict(doc)
 
 
+@pytest.mark.parametrize("key, k, name", [
+    ("agents", 1, "b-c"), ("agents", 0, "true"), ("atoms", 2, "p q"), ("atoms", 0, "1b"),
+])
+def test_documents_declare_only_names_formulas_can_write(key, k, name):
+    doc = to_json_dict(load_fixture("two_masks"))
+    doc[key][k] = name
+    with pytest.raises(ModelError) as exc:
+        from_json_dict(doc)
+    assert str(exc.value) == (f"{key}[{k}]: not a name formulas can write (an "
+                              f"identifier other than true, false, box, dia): {name!r}")
+
+
 def test_duplicate_transition_rows_rejected(ab):
     doc = to_json_dict(random_model(ab, 1, 1, 1.0, seed=0))
     doc["transitions"] = doc["transitions"] * 2
