@@ -4,7 +4,7 @@ certified countermodels.
 A formula of modal depth 0 is valid exactly when it holds at every
 one-state model, so it is decided by model-checking the labellings of its
 atoms in binary-counter order, one dead-end state each, in models of 4,
-8, 16, ... up to 256 states.  The first labelling that refutes it labels
+8, 16, ... up to 128 states.  The first labelling that refutes it labels
 the one-state countermodel.  Deeper formulas are normalized; their
 clauses are built and decided one by one, and the first refuted clause
 ends the decision.  A standard clause is valid exactly when
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 # unused: bench/spans.py patches them by these names in this module
 from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_in, atoms_of,
                       canonical_key, coalitions_of, conj, implies, modal_depth)
-from .model import GameModel, JointAction, rename_disjoint
+from .model import GameModel, JointAction, _chunks, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          standard_clauses, to_standard_conjunction)
 from . import semantics
@@ -180,9 +180,7 @@ def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Step:
 def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
     names = tuple(sorted(atoms_of(f)))
     trace = (ClauseOutcome(None, "propositional"),)
-    start, size, total = 0, 4, 1 << len(names)
-    while start < total:
-        masks = range(start, min(start + size, total))
+    for masks in _chunks(1 << len(names)):
         labels = [frozenset(n for k, n in enumerate(names) if mask >> k & 1)
                   for mask in masks]
         # a dead-end state s<k> labelled labels[k] for each k
@@ -194,7 +192,6 @@ def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
         for state, label in zip(states, labels):
             if not column[state]:
                 return _Refutation(label), trace
-        start, size = masks.stop, min(2 * size, 256)
     return None, trace
 
 

@@ -51,6 +51,16 @@ class JointAction:
 
     items: tuple[tuple[str, str], ...]
 
+    def __post_init__(self):  # the hash the dataclass would compute, once
+        # set as an attribute: touching __dict__ would slow every later read
+        object.__setattr__(self, "_hash", hash((self.items,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # str hashes differ between processes
+        return JointAction, (self.items,)
+
     @classmethod
     def of(cls, mapping: Mapping[str, str]) -> JointAction:
         return cls(tuple(sorted(mapping.items())))
@@ -172,33 +182,37 @@ class GameModel:
         if unknown_labels:
             raise ModelError(f"labels for unknown states {sorted(unknown_labels)}")
         cleaned = {}
-        rows: dict[str, list[tuple[JointAction, frozenset[str]]]] = {
-            s: [] for s in self.states}
-        for (s, profile), targets in self.out_ag.items():
-            if s not in state_set:
-                raise ModelError(f"transition from unknown state {s!r}",
-                                 ("transition", (s, profile), "from"))
-            if profile.domain != agent_set:
-                raise ModelError(f"profile {profile.items} does not cover the "
-                                 "grand coalition", ("transition", (s, profile), "profile"))
-            bad_actions = {x for _, x in profile.items} - action_set
-            if bad_actions:
-                raise ModelError(f"undeclared actions {sorted(bad_actions)}",
-                                 ("transition", (s, profile), "profile"))
-            if not targets <= state_set:
-                raise ModelError(f"unknown outcome states {sorted(targets - state_set)}",
-                                 ("transition", (s, profile), "to"))
-            if targets:
-                targets = cleaned[(s, profile)] = frozenset(targets)
-                rows[s].append((profile, targets))
-        object.__setattr__(self, "out_ag", cleaned)
-        # each state's rows in binary-counter order; profile items are sorted
-        # by agent name, so agent k of the universe sits at items[at[k]]
+        rows: dict[str, list] = {s: [] for s in self.states}
+        # each distinct profile is checked once and gets its binary-counter
+        # rank; profile items are sorted by agent name, so agent k of the
+        # universe sits at items[at[k]]
         rank = {x: k for k, x in enumerate(self.actions)}
         at = [sorted(agents).index(a) for a in agents]
+        keys: dict[JointAction, list[int]] = {}
+        for key, targets in self.out_ag.items():
+            s, profile = key
+            if s not in state_set:
+                raise ModelError(f"transition from unknown state {s!r}",
+                                 ("transition", key, "from"))
+            rank_key = keys.get(profile)
+            if rank_key is None:
+                if profile.domain != agent_set:
+                    raise ModelError(f"profile {profile.items} does not cover the grand "
+                                     "coalition", ("transition", key, "profile"))
+                bad_actions = {x for _, x in profile.items} - action_set
+                if bad_actions:
+                    raise ModelError(f"undeclared actions {sorted(bad_actions)}",
+                                     ("transition", key, "profile"))
+                rank_key = keys[profile] = [rank[profile.items[k][1]] for k in at]
+            if not targets <= state_set:
+                raise ModelError(f"unknown outcome states {sorted(targets - state_set)}",
+                                 ("transition", key, "to"))
+            if targets:
+                targets = cleaned[key] = frozenset(targets)
+                rows[s].append((rank_key, profile, targets))
+        object.__setattr__(self, "out_ag", cleaned)
         object.__setattr__(self, "_rows", {
-            s: tuple(sorted(state_rows, key=lambda r: [rank[r[0].items[k][1]] for k in at]))
-            for s, state_rows in rows.items()})
+            s: tuple([r[1:] for r in sorted(state_rows)]) for s, state_rows in rows.items()})
 
     # -- derived structure ---------------------------------------------------
 
@@ -363,22 +377,7 @@ def random_model(universe: AgentUniverse, n_states: int, n_actions: int,
     """Seeded random GCGM: every (state, profile, target) edge is kept
     independently with probability ``density``; each (state, atom) label is a
     fair coin.  Identical seeds give identical models."""
-    if n_states < 1 or n_actions < 1:
-        raise ValueError("need at least one state and one action")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be within [0, 1]")
-    rng = random.Random(seed)
-    states = tuple(f"s{i}" for i in range(n_states))
-    actions = tuple(f"x{i}" for i in range(n_actions))
-    label = {s: frozenset(a for a in atoms if rng.random() < 0.5) for s in states}
-    profiles = full_profiles(universe.agents, actions)
-    out_ag = {}
-    for s in states:
-        for profile in profiles:
-            targets = frozenset(t for t in states if rng.random() < density)
-            if targets:
-                out_ag[(s, profile)] = targets
-    return GameModel(universe, tuple(atoms), actions, states, label, out_ag)
+    return GameModel(*_random_parts(universe, n_states, n_actions, seed, atoms, density))
 
 
 def random_cgm(universe: AgentUniverse, n_states: int, n_actions: int,
@@ -386,22 +385,56 @@ def random_cgm(universe: AgentUniverse, n_states: int, n_actions: int,
     """Seeded random CGM: per state, each agent gets a nonempty action set,
     the available profiles are their full product, and every available
     profile gets exactly one outcome state."""
+    return GameModel(*_random_parts(universe, n_states, n_actions, seed, atoms))
+
+
+def _random_parts(universe: AgentUniverse, n_states: int, n_actions: int, seed: int,
+                  atoms: Sequence[str], density: float | None = None,
+                  prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of ``random_model`` (given a density) or
+    of ``random_cgm`` (without one), with ``prefix`` before each state name."""
     if n_states < 1 or n_actions < 1:
         raise ValueError("need at least one state and one action")
+    if density is not None and not 0.0 <= density <= 1.0:
+        raise ValueError("density must be within [0, 1]")
     rng = random.Random(seed)
-    states = tuple(f"s{i}" for i in range(n_states))
-    actions = tuple(f"x{i}" for i in range(n_actions))
-    label = {s: frozenset(a for a in atoms if rng.random() < 0.5) for s in states}
+    draw = rng.random
+    states = tuple([f"{prefix}s{i}" for i in range(n_states)])
+    actions = tuple([f"x{i}" for i in range(n_actions)])
+    label = {s: frozenset([a for a in atoms if draw() < 0.5]) for s in states}
     agents = universe.agents
     out_ag = {}
     for s in states:
-        per_agent = []
-        for _ in agents:
-            size = rng.randint(1, n_actions)
-            per_agent.append(rng.sample(actions, size))
-        for profile in product_profiles(agents, per_agent):
-            out_ag[(s, profile)] = frozenset((rng.choice(states),))
-    return GameModel(universe, tuple(atoms), actions, states, label, out_ag)
+        if density is None:
+            per_agent = [rng.sample(actions, rng.randint(1, n_actions)) for _ in agents]
+            for profile in product_profiles(agents, per_agent):
+                out_ag[(s, profile)] = frozenset((rng.choice(states),))
+        elif density:  # no edge at density 0, and nothing is drawn after the edges
+            for profile in full_profiles(agents, actions):
+                targets = [t for t in states if draw() < density]
+                if targets:
+                    out_ag[(s, profile)] = frozenset(targets)
+    return universe, tuple(atoms), actions, states, label, out_ag
+
+
+def _disjoint_union(parts: Iterable[tuple]) -> GameModel:
+    """One model from the ``GameModel`` arguments of models over one universe
+    and atom list with pairwise distinct state names."""
+    states, label, out_ag, actions = [], {}, {}, {}
+    for universe, atoms, part_actions, part_states, part_label, part_out in parts:
+        actions.update(dict.fromkeys(part_actions))
+        states += part_states
+        label.update(part_label)
+        out_ag.update(part_out)
+    return GameModel(universe, atoms, tuple(actions), tuple(states), label, out_ag)
+
+
+def _chunks(count: int, size: int = 4) -> Iterator[range]:
+    """``range(count)`` in blocks of ``size``, doubling up to 128 indices."""
+    start = 0
+    while start < count:
+        yield range(start, min(start + size, count))
+        start, size = start + size, min(2 * size, 128)
 
 
 # -- serialization ---------------------------------------------------------------

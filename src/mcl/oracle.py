@@ -7,19 +7,29 @@ an "invalid" verdict must come with a certified countermodel, a "valid"
 verdict must survive the bounded search, and the classic axiom instances
 must fail only on models whose classification violates the matching
 property.  Everything is reproducible from the configured seed.
+
+Models are checked in chunks.  Truth is local: ``<A>phi`` at a state reads
+only that state's rows and the truth of ``phi`` at their outcomes, which lie
+in the same part of a disjoint union, so a formula's column on a disjoint
+union of models is the union of its columns on the parts (invariance under
+disjoint unions; Blackburn, de Rijke & Venema, Modal Logic, Prop. 2.3).
+The search draws a chunk's models with state names prefixed by their index
+and checks the chunk as one model with one ``eval_all``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Formula, Neg, bot,
                       implies, lor, pretty)
-from .model import (GameModel, JointAction, classify, dumps, full_profiles,
-                    random_cgm, random_model)
+# random_cgm and random_model stay imported for bench/spans.py, which patches them here
+from .model import (GameModel, _chunks, _disjoint_union, _random_parts, classify,
+                    dumps, full_profiles, random_cgm, random_model)
 from .semantics import PointedModel, eval_all
-from .decide import decide_valid
+from .decide import _run, decide_valid
 
 
 class BudgetExceededError(RuntimeError):
@@ -53,40 +63,56 @@ class SearchBounds:
             raise ValueError("sample count and budget must not be negative")
 
 
-def enumerate_models(bounds: SearchBounds):
-    """Every model within the bounds, reproducibly ordered.
+def _enumerated(bounds: SearchBounds, k: int, prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of the k-th model of ``enumerate_models``.
 
-    The outcome table is a bit vector over (state, profile, target) triples
-    and the labelling one over (state, atom); both run as binary counters.
-    Raises BudgetExceededError after ``budget`` models.
-    """
-    yielded = 0
-    agents = bounds.universe.agents
+    Per size, the labelling is a bit vector over (state, atom) pairs and the
+    outcome table one over (state, profile, target) triples; ``k`` counts
+    through both, the labelling fastest."""
     for n_states in range(1, bounds.max_states + 1):
-        states = tuple(f"s{i}" for i in range(n_states))
         for n_actions in range(1, bounds.max_actions + 1):
             actions = tuple(f"x{i}" for i in range(n_actions))
-            profiles = full_profiles(agents, actions)
-            edge_slots = [(s, p, t) for s in states for p in profiles for t in states]
-            label_slots = [(s, a) for s in states for a in bounds.atoms]
-            for out_mask in range(1 << len(edge_slots)):
-                out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
-                for bit, (s, p, t) in enumerate(edge_slots):
-                    if out_mask >> bit & 1:
-                        key = (s, p)
-                        out_ag[key] = out_ag.get(key, frozenset()) | {t}
-                for label_mask in range(1 << len(label_slots)):
-                    label: dict[str, set[str]] = {s: set() for s in states}
-                    for bit, (s, a) in enumerate(label_slots):
-                        if label_mask >> bit & 1:
-                            label[s].add(a)
-                    if yielded >= bounds.budget:
-                        raise BudgetExceededError(
-                            f"enumeration budget of {bounds.budget} models exceeded")
-                    yielded += 1
-                    yield GameModel(bounds.universe, bounds.atoms, actions, states,
-                                    {s: frozenset(v) for s, v in label.items()},
-                                    dict(out_ag))
+            profiles = full_profiles(bounds.universe.agents, actions)
+            size = 1 << n_states * (len(bounds.atoms) + len(profiles) * n_states)
+            if k >= size:
+                k -= size
+                continue
+            states = tuple(f"{prefix}s{i}" for i in range(n_states))
+            bit = itertools.count()  # the bits of k, in slot order
+            label = {s: frozenset(a for a in bounds.atoms if k >> next(bit) & 1)
+                     for s in states}
+            out_ag = {(s, p): to for s in states for p in profiles
+                      if (to := frozenset(t for t in states if k >> next(bit) & 1))}
+            return bounds.universe, bounds.atoms, actions, states, label, out_ag
+
+
+def _space(bounds: SearchBounds) -> int:
+    """How many models ``enumerate_models`` walks, budget aside."""
+    n, m = len(bounds.universe), len(bounds.atoms)
+    return sum(1 << (s * a ** n * s + s * m) for s in range(1, bounds.max_states + 1)
+               for a in range(1, bounds.max_actions + 1))
+
+
+def enumerate_models(bounds: SearchBounds):
+    """Every model within the bounds, reproducibly ordered: by size, then
+    by outcome table, then by labelling.  Raises BudgetExceededError after
+    ``budget`` models."""
+    for k in range(min(_space(bounds), bounds.budget)):
+        yield GameModel(*_enumerated(bounds, k))
+    if _space(bounds) > bounds.budget:
+        raise BudgetExceededError(f"enumeration budget of {bounds.budget} models exceeded")
+
+
+def _sampled(bounds: SearchBounds, k: int, prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of the k-th sample, states prefixed."""
+    rng = random.Random(bounds.seed * 1_000_003 + k)
+    n_states = bounds.max_states if rng.random() < 0.75 \
+        else rng.randint(1, bounds.max_states)
+    n_actions = bounds.max_actions if rng.random() < 0.75 \
+        else rng.randint(1, bounds.max_actions)
+    density = rng.choice((0.0, 0.1, 0.2, 0.35, 0.5, 0.75))
+    return _random_parts(bounds.universe, n_states, n_actions, rng.randrange(2 ** 32),
+                         bounds.atoms, density, prefix)
 
 
 def sample_models(bounds: SearchBounds):
@@ -96,36 +122,29 @@ def sample_models(bounds: SearchBounds):
     small dense models rarely separate anything, while dead ends and
     conditionally available profiles need missing edges.
     """
-    densities = (0.0, 0.1, 0.2, 0.35, 0.5, 0.75)
     for k in range(bounds.n_samples):
-        rng = random.Random(bounds.seed * 1_000_003 + k)
-        n_states = bounds.max_states if rng.random() < 0.75 \
-            else rng.randint(1, bounds.max_states)
-        n_actions = bounds.max_actions if rng.random() < 0.75 \
-            else rng.randint(1, bounds.max_actions)
-        yield random_model(
-            bounds.universe,
-            n_states=n_states,
-            n_actions=n_actions,
-            density=rng.choice(densities),
-            seed=rng.randrange(2 ** 32),
-            atoms=bounds.atoms,
-        )
+        yield GameModel(*_sampled(bounds, k))
 
 
 def search_countermodel(f: Formula, bounds: SearchBounds) -> PointedModel | None:
-    """A pointed model within the bounds where ``f`` fails, or None.
+    """A pointed model within the bounds where ``f`` fails, or None: the
+    first failing state of the first failing model, in model order.
 
     In exhaustive mode a None answer is complete for the bounded space;
     BudgetExceededError signals a truncated (hence inconclusive) walk.
     """
-    source = enumerate_models(bounds) if bounds.mode == "exhaustive" \
-        else sample_models(bounds)
-    for model in source:
-        column = eval_all(model, f)
-        for s in model.states:
-            if not column[s]:
-                return PointedModel(model, s)
+    exhaustive = bounds.mode == "exhaustive"
+    draw = _enumerated if exhaustive else _sampled
+    for chunk in _chunks(min(_space(bounds), bounds.budget) if exhaustive
+                         else bounds.n_samples):
+        union = _disjoint_union(draw(bounds, k, f"{k}.") for k in chunk)
+        column = eval_all(union, f)
+        failed = next((s for s in union.states if not column[s]), None)
+        if failed is not None:
+            k, state = failed.split(".", 1)
+            return PointedModel(GameModel(*draw(bounds, int(k))), state)
+    if exhaustive and _space(bounds) > bounds.budget:
+        raise BudgetExceededError(f"enumeration budget of {bounds.budget} models exceeded")
     return None
 
 
@@ -133,35 +152,39 @@ def search_countermodel(f: Formula, bounds: SearchBounds) -> PointedModel | None
 
 def random_propositional(rng: random.Random, atoms: tuple[str, ...],
                          size: int) -> Formula:
-    if size <= 1 or rng.random() < 0.4:
+    return random_formula(rng, None, atoms, 0, size)
+
+
+def random_formula(rng: random.Random, universe: AgentUniverse,
+                   atoms: tuple[str, ...], depth: int, size: int = 8) -> Formula:
+    """A random core formula of exactly the given modal depth (propositional
+    at depth 0), drawn on the explicit stack of ``decide._run``."""
+    if depth < 0:
+        raise ValueError("modal depth must not be negative")
+    return _run(_draw(rng, universe, atoms, depth, size))
+
+
+def _draw(rng, universe, atoms, depth, size):
+    """The step drawing one formula: it yields the step of each operand and
+    is sent the operand's formula, so the draws keep their recursive order."""
+    if depth == 0 and (size <= 1 or rng.random() < 0.4):
         roll = rng.random()
         if roll < 0.8:
             atom: Formula = Atom(rng.choice(atoms))
             return atom if rng.random() < 0.6 else Neg(atom)
         return TOP if roll < 0.9 else bot()
-    a = random_propositional(rng, atoms, size // 2)
-    b = random_propositional(rng, atoms, size // 2)
-    return rng.choice((And, lor, implies))(a, b)
-
-
-def random_coalition(rng: random.Random, universe: AgentUniverse):
-    members = [a for a in universe.agents if rng.random() < 0.5]
-    return universe.coalition(*members)
-
-
-def random_formula(rng: random.Random, universe: AgentUniverse,
-                   atoms: tuple[str, ...], depth: int, size: int = 8) -> Formula:
-    """A random core formula of exactly the given modal depth."""
     if depth == 0:
-        return random_propositional(rng, atoms, size)
+        a = yield _draw(rng, universe, atoms, 0, size // 2)
+        b = yield _draw(rng, universe, atoms, 0, size // 2)
+        return rng.choice((And, lor, implies))(a, b)
     roll = rng.random()
     if roll < 0.5 or size <= 2:
-        return Can(random_coalition(rng, universe),
-                   random_formula(rng, universe, atoms, depth - 1, size - 1))
+        coalition = universe.coalition(*[a for a in universe.agents if rng.random() < 0.5])
+        return Can(coalition, (yield _draw(rng, universe, atoms, depth - 1, size - 1)))
     if roll < 0.65:
-        return Neg(random_formula(rng, universe, atoms, depth, size - 1))
-    deep = random_formula(rng, universe, atoms, depth, size // 2)
-    other = random_formula(rng, universe, atoms, rng.randint(0, depth), size // 2)
+        return Neg((yield _draw(rng, universe, atoms, depth, size - 1)))
+    deep = yield _draw(rng, universe, atoms, depth, size // 2)
+    other = yield _draw(rng, universe, atoms, rng.randint(0, depth), size // 2)
     a, b = (deep, other) if rng.random() < 0.5 else (other, deep)
     return rng.choice((And, lor, implies))(a, b)
 
@@ -301,38 +324,35 @@ def _axiom_instances(universe: AgentUniverse, atoms: tuple[str, ...]):
     )
 
 
+def _scheme_model(bounds: SearchBounds, k: int, prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of the k-th scheme model: free-form
+    models alternate with CGMs."""
+    rng = random.Random(bounds.seed * 9_973 + k)
+    n_states, n_actions = rng.randint(1, bounds.max_states), rng.randint(1, bounds.max_actions)
+    density = None if k % 2 else rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+    return _random_parts(bounds.universe, n_states, n_actions, rng.randrange(2 ** 32),
+                         bounds.atoms, density, prefix)
+
+
 def _scheme_separation(config: DifferentialConfig,
                        report: DifferentialReport) -> None:
     bounds = config.bounds
     instances = _axiom_instances(bounds.universe, bounds.atoms)
-    for k in range(config.scheme_models):
-        rng = random.Random(bounds.seed * 9_973 + k)
-        if k % 2:  # alternate free-form models with guaranteed CGMs
-            model = random_cgm(
-                bounds.universe,
-                n_states=rng.randint(1, bounds.max_states),
-                n_actions=rng.randint(1, bounds.max_actions),
-                seed=rng.randrange(2 ** 32),
-                atoms=bounds.atoms,
-            )
-        else:
-            model = random_model(
-                bounds.universe,
-                n_states=rng.randint(1, bounds.max_states),
-                n_actions=rng.randint(1, bounds.max_actions),
-                density=rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)),
-                seed=rng.randrange(2 ** 32),
-                atoms=bounds.atoms,
-            )
-        report.scheme_models_checked += 1
-        summary = classify(model)
-        flags = {"serial": summary.serial, "independent": summary.independent,
-                 "deterministic": summary.deterministic}
-        for prop, instance in instances:
-            column = eval_all(model, instance)
-            violated_at = next((s for s in model.states if not column[s]), None)
-            if violated_at is not None and flags[prop]:
-                report.discrepancies.append(Discrepancy(
-                    kind="scheme-separation", formula=pretty(instance),
-                    detail=f"axiom instance fails although the model is {prop}",
-                    seed=bounds.seed, model_json=dumps(model), state=violated_at))
+    for chunk in _chunks(config.scheme_models, 128):  # every model is checked
+        parts = [_scheme_model(bounds, k, f"{k}.") for k in chunk]
+        union = _disjoint_union(parts)
+        columns = [eval_all(union, instance) for _, instance in instances]
+        for k, part in zip(chunk, parts):
+            report.scheme_models_checked += 1
+            violated = [next((s for s in part[3] if not column[s]), None)
+                        for column in columns]
+            if not any(violated):
+                continue  # a discrepancy needs a violated instance
+            summary = classify(GameModel(*part))
+            for (prop, instance), state in zip(instances, violated):
+                if state is not None and getattr(summary, prop):
+                    report.discrepancies.append(Discrepancy(
+                        kind="scheme-separation", formula=pretty(instance),
+                        detail=f"axiom instance fails although the model is {prop}",
+                        seed=bounds.seed, model_json=dumps(GameModel(*_scheme_model(bounds, k))),
+                        state=state.split(".", 1)[1]))

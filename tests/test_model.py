@@ -1,7 +1,11 @@
 import itertools
 import json
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -484,3 +488,31 @@ def test_cgm_availability_is_rectangular(ab):
                 for left in m.av(ca, s):
                     for right in m.av(cb, s):
                         assert left.union(right) in m.av(ca.union(cb), s)
+
+
+def test_unpickled_profiles_hash_in_another_process(ab, tmp_path):
+    # str hashes differ between processes, so a profile's stored hash is
+    # computed again on unpickling; the model's rows stay reachable
+    model = random_model(ab, 3, 2, 0.5, seed=4)
+    assert pickle.loads(pickle.dumps(ja(a="x0", b="x1"))) == ja(a="x0", b="x1")
+    path = tmp_path / "model.pickle"
+    src = os.path.dirname(os.path.dirname(mcl.model.__file__))
+    script = ("import pickle, sys\n"
+              "from mcl import JointAction, random_model, AgentUniverse\n"
+              "if sys.argv[1] == 'dump':\n"
+              "    model = random_model(AgentUniverse.of('a', 'b'), 3, 2, 0.5, seed=4)\n"
+              "    with open(sys.argv[2], 'wb') as fh:\n"
+              "        pickle.dump(model, fh)\n"
+              "else:\n"
+              "    with open(sys.argv[2], 'rb') as fh:\n"
+              "        model = pickle.load(fh)\n"
+              "    print([sorted(model.outcome(s, JointAction.of({'a': x, 'b': y})))\n"
+              "           for s in model.states for x in ('x0', 'x1') for y in ('x0', 'x1')])\n")
+    for seed, mode in (("1", "dump"), ("2", "load")):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, mode, str(path)], env=env,
+                              capture_output=True, text=True, check=True)
+    expected = [sorted(model.outcome(s, ja(a=x, b=y)))
+                for s in model.states for x in ("x0", "x1") for y in ("x0", "x1")]
+    assert any(expected)
+    assert done.stdout == f"{expected}\n"

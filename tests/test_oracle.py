@@ -1,9 +1,17 @@
+import dataclasses
+import random
+import sys
+from hashlib import sha256
+
 import pytest
 
-from mcl import (BudgetExceededError, DifferentialConfig, SearchBounds,
-                 classify, decide_valid, differential_run, dumps,
-                 enumerate_models, eval_all, parse, sample_models,
-                 search_countermodel)
+import mcl.oracle as oracle
+from mcl import (AgentUniverse, BudgetExceededError, DifferentialConfig,
+                 Discrepancy, GameModel, SearchBounds, classify, decide_valid,
+                 differential_run, dumps, enumerate_models, eval_all,
+                 modal_depth, parse, pretty, random_cgm, random_formula,
+                 random_model, sample_models, search_countermodel)
+from mcl.model import full_profiles
 from mcl.semantics import PointedModel
 
 
@@ -194,3 +202,163 @@ def test_decider_and_micro_grid_agree_on_liveness(solo):
     assert search_countermodel(live, micro_bounds(solo)) is None
     assert not decide_valid(ser, solo).valid
     assert search_countermodel(ser, micro_bounds(solo)) is not None
+
+
+# -- chunked checks against per-model loops -------------------------------------------
+
+def _reference_models(bounds):
+    """The exhaustive walk as one loop per bit vector, each model built on its own."""
+    yielded = 0
+    for n_states in range(1, bounds.max_states + 1):
+        states = tuple(f"s{i}" for i in range(n_states))
+        for n_actions in range(1, bounds.max_actions + 1):
+            actions = tuple(f"x{i}" for i in range(n_actions))
+            profiles = full_profiles(bounds.universe.agents, actions)
+            edge_slots = [(s, p, t) for s in states for p in profiles for t in states]
+            label_slots = [(s, a) for s in states for a in bounds.atoms]
+            for out_mask in range(1 << len(edge_slots)):
+                out_ag = {}
+                for bit, (s, p, t) in enumerate(edge_slots):
+                    if out_mask >> bit & 1:
+                        out_ag[(s, p)] = out_ag.get((s, p), frozenset()) | {t}
+                for label_mask in range(1 << len(label_slots)):
+                    label = {s: frozenset(a for bit, (r, a) in enumerate(label_slots)
+                                          if r == s and label_mask >> bit & 1)
+                             for s in states}
+                    if yielded >= bounds.budget:
+                        raise BudgetExceededError("budget")
+                    yielded += 1
+                    yield GameModel(bounds.universe, bounds.atoms, actions, states,
+                                    label, dict(out_ag))
+
+
+def _reference_search(f, bounds):
+    models = _reference_models(bounds) if bounds.mode == "exhaustive" \
+        else sample_models(bounds)
+    for model in models:
+        column = eval_all(model, f)
+        for s in model.states:
+            if not column[s]:
+                return PointedModel(model, s)
+    return None
+
+
+def _outcome(search, f, bounds):
+    try:
+        pm = search(f, bounds)
+    except BudgetExceededError:
+        return "budget exceeded"
+    return None if pm is None else (dumps(pm.model), pm.state)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 5, 80, 300])
+def test_chunked_sampled_search_matches_the_per_model_loop(n_samples):
+    # 300 samples reach the 128-model cap on one union
+    rng = random.Random(n_samples)
+    found = 0
+    for agents in ("a", "ab", "abc"):
+        universe = AgentUniverse(tuple(agents))
+        bounds = SearchBounds(universe, max_states=3, max_actions=2, atoms=("p", "q"),
+                              mode="sampled", n_samples=n_samples, seed=len(agents))
+        for _ in range(4):
+            f = random_formula(rng, universe, ("p", "q"), rng.randint(1, 2))
+            expected = _outcome(_reference_search, f, bounds)
+            assert _outcome(search_countermodel, f, bounds) == expected, pretty(f)
+            found += expected is not None
+    assert found >= (6 if n_samples >= 5 else 0)
+
+
+def test_chunked_search_finds_a_late_countermodel(ab):
+    # the first sample refuting independence at seed 62 is sample 273, in
+    # the seventh union (samples 252 to 299); a valid formula is checked on all 300 samples
+    bounds = SearchBounds(ab, max_states=3, max_actions=2, atoms=("p", "q"),
+                          mode="sampled", n_samples=300, seed=62)
+    f = parse("(<{a}>p & <{b}>q) -> <{a,b}>(p & q)", ab)
+    pm = search_countermodel(f, bounds)
+    assert dumps(pm.model) == dumps(list(sample_models(bounds))[273])
+    assert _outcome(search_countermodel, f, bounds) == _outcome(_reference_search, f, bounds)
+    assert search_countermodel(parse("~<{a,b}>false", ab), bounds) is None
+
+
+@pytest.mark.parametrize("agents, max_states, max_actions", [
+    ("a", 2, 1), ("a", 1, 2), ("ab", 1, 2),
+])
+def test_chunked_exhaustive_search_matches_the_per_model_loop(agents, max_states,
+                                                               max_actions):
+    universe = AgentUniverse(tuple(agents))
+    rng = random.Random(max_states + 3 * max_actions)
+    space = sum(1 for _ in _reference_models(SearchBounds(
+        universe, max_states, max_actions, ("p",), budget=10 ** 6)))
+    assert list(map(dumps, enumerate_models(SearchBounds(
+        universe, max_states, max_actions, ("p",))))) == \
+        list(map(dumps, _reference_models(SearchBounds(
+            universe, max_states, max_actions, ("p",), budget=10 ** 6))))
+    outcomes = set()
+    for budget in (0, 1, 3, 40, space - 1, space, 10 ** 6):
+        bounds = SearchBounds(universe, max_states, max_actions, ("p",), budget=budget)
+        for _ in range(6):
+            f = random_formula(rng, universe, ("p",), rng.randint(1, 2))
+            expected = _outcome(_reference_search, f, bounds)
+            assert _outcome(search_countermodel, f, bounds) == expected, (budget, pretty(f))
+            outcomes.add(expected if isinstance(expected, str) or expected is None
+                         else "found")
+    # countermodels inside the budget, budget hits, and complete walks with none
+    assert outcomes == {"found", "budget exceeded", None}
+
+
+def test_scheme_check_with_discrepancies_matches_the_per_model_loop(ab, monkeypatch):
+    # a classifier that reports every property turns each violated axiom
+    # instance into a discrepancy
+    real = classify
+    monkeypatch.setattr(oracle, "classify", lambda model: dataclasses.replace(
+        real(model), serial=True, independent=True, deterministic=True))
+    config = _config(ab, scheme_models=300)  # three unions: 128, 128 and 44 models
+    bounds = config.bounds
+    expected = []
+    for k in range(config.scheme_models):
+        rng = random.Random(bounds.seed * 9_973 + k)
+        n_states, n_actions = rng.randint(1, 3), rng.randint(1, 2)
+        if k % 2:
+            model = random_cgm(ab, n_states, n_actions, seed=rng.randrange(2 ** 32),
+                               atoms=bounds.atoms)
+        else:
+            density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+            model = random_model(ab, n_states, n_actions, density,
+                                 seed=rng.randrange(2 ** 32), atoms=bounds.atoms)
+        for prop, instance in oracle._axiom_instances(ab, bounds.atoms):
+            column = eval_all(model, instance)
+            state = next((s for s in model.states if not column[s]), None)
+            if state is not None:
+                expected.append(vars(Discrepancy(
+                    kind="scheme-separation", formula=pretty(instance),
+                    detail=f"axiom instance fails although the model is {prop}",
+                    seed=bounds.seed, model_json=dumps(model), state=state)))
+    report = differential_run(config).to_json_dict()
+    assert report["scheme_models_checked"] == 300
+    assert len(expected) > 50
+    assert report["discrepancies"] == expected
+
+
+# -- random formulas on an explicit stack ------------------------------------------------
+
+def test_random_formulas_are_pinned():
+    # SHA-256 computed with the recursive generator: the same draws in the
+    # same order give the same formulas and leave the generator in one state
+    lines = []
+    for agents in ("a", "ab", "abc"):
+        universe = AgentUniverse(tuple(agents))
+        for k in range(1000):
+            rng = random.Random(k)
+            f = random_formula(rng, universe, ("p", "q"), rng.randint(0, 4),
+                               rng.randint(1, 12))
+            lines.append(f"{pretty(f)} {rng.random()}")
+    assert sha256("\n".join(lines).encode()).hexdigest() == \
+        "e7c66b30ea831ba5151ec7ac231e8dbee465b441e8e2ec8a9c71150ee1d7d1f1"
+
+
+def test_random_formulas_nest_past_the_recursion_limit(solo):
+    depth = 3 * sys.getrecursionlimit()
+    f = random_formula(random.Random(0), solo, ("p", "q"), depth)
+    assert modal_depth(f) == depth
+    with pytest.raises(ValueError, match="must not be negative"):
+        random_formula(random.Random(0), solo, ("p",), -1)
