@@ -1,9 +1,9 @@
 """Command-line surface: one process per invocation, all state on disk.
 
 Exit status: 0 on success, 1 on semantic errors (bad formula or model,
-failed fuzz run, or input nested too deeply: no input tried reaches
-``main``'s ``RecursionError`` handler, which stays as a safety net), 2 on
-usage errors, 3 on an internal error (a produced model
+failed fuzz run, or input nested too deeply: of the inputs tried, only
+``fuzz --depth`` in the thousands reaches ``main``'s ``RecursionError``
+handler), 2 on usage errors, 3 on an internal error (a produced model
 failed its own model-checking certificate).  Errors print one ``error:`` or
 ``internal error:`` line on standard error; the internal-error line ends
 with the input formula, whitespace collapsed.  ``--agents`` fixes the grand

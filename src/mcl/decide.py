@@ -180,7 +180,7 @@ def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Step:
 def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
     names = tuple(sorted(atoms_of(f)))
     trace = (ClauseOutcome(None, "propositional"),)
-    for masks in _chunks(1 << len(names)):
+    for masks in _chunks(range(1 << len(names))):
         labels = [frozenset(n for k, n in enumerate(names) if mask >> k & 1)
                   for mask in masks]
         # a dead-end state s<k> labelled labels[k] for each k

@@ -377,7 +377,7 @@ def random_model(universe: AgentUniverse, n_states: int, n_actions: int,
     """Seeded random GCGM: every (state, profile, target) edge is kept
     independently with probability ``density``; each (state, atom) label is a
     fair coin.  Identical seeds give identical models."""
-    return GameModel(*_random_parts(universe, n_states, n_actions, seed, atoms, density))
+    return GameModel(*_gcgm_parts(universe, n_states, n_actions, density, seed, atoms))
 
 
 def random_cgm(universe: AgentUniverse, n_states: int, n_actions: int,
@@ -385,35 +385,46 @@ def random_cgm(universe: AgentUniverse, n_states: int, n_actions: int,
     """Seeded random CGM: per state, each agent gets a nonempty action set,
     the available profiles are their full product, and every available
     profile gets exactly one outcome state."""
-    return GameModel(*_random_parts(universe, n_states, n_actions, seed, atoms))
+    return GameModel(*_cgm_parts(universe, n_states, n_actions, seed, atoms))
 
 
-def _random_parts(universe: AgentUniverse, n_states: int, n_actions: int, seed: int,
-                  atoms: Sequence[str], density: float | None = None,
-                  prefix: str = "") -> tuple:
-    """The ``GameModel`` arguments of ``random_model`` (given a density) or
-    of ``random_cgm`` (without one), with ``prefix`` before each state name."""
+def _random_start(n_states: int, n_actions: int, seed: int, atoms: Sequence[str],
+                  prefix: str) -> tuple:
+    """The RNG, states (``prefix`` before each name), actions and labels of a random model."""
     if n_states < 1 or n_actions < 1:
         raise ValueError("need at least one state and one action")
-    if density is not None and not 0.0 <= density <= 1.0:
-        raise ValueError("density must be within [0, 1]")
     rng = random.Random(seed)
-    draw = rng.random
     states = tuple([f"{prefix}s{i}" for i in range(n_states)])
-    actions = tuple([f"x{i}" for i in range(n_actions)])
-    label = {s: frozenset([a for a in atoms if draw() < 0.5]) for s in states}
-    agents = universe.agents
-    out_ag = {}
-    for s in states:
-        if density is None:
-            per_agent = [rng.sample(actions, rng.randint(1, n_actions)) for _ in agents]
-            for profile in product_profiles(agents, per_agent):
-                out_ag[(s, profile)] = frozenset((rng.choice(states),))
-        elif density:  # no edge at density 0, and nothing is drawn after the edges
-            for profile in full_profiles(agents, actions):
+    label = {s: frozenset([a for a in atoms if rng.random() < 0.5]) for s in states}
+    return rng, states, tuple([f"x{i}" for i in range(n_actions)]), label
+
+
+def _gcgm_parts(universe: AgentUniverse, n_states: int, n_actions: int, density: float,
+                seed: int, atoms: Sequence[str], prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of ``random_model``."""
+    rng, states, actions, label = _random_start(n_states, n_actions, seed, atoms, prefix)
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must be within [0, 1]")
+    draw, out_ag = rng.random, {}
+    if density:  # no edge at density 0, and nothing is drawn after the edges
+        profiles = full_profiles(universe.agents, actions)
+        for s in states:
+            for profile in profiles:
                 targets = [t for t in states if draw() < density]
                 if targets:
                     out_ag[(s, profile)] = frozenset(targets)
+    return universe, tuple(atoms), actions, states, label, out_ag
+
+
+def _cgm_parts(universe: AgentUniverse, n_states: int, n_actions: int, seed: int,
+               atoms: Sequence[str], prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of ``random_cgm``."""
+    rng, states, actions, label = _random_start(n_states, n_actions, seed, atoms, prefix)
+    agents, out_ag = universe.agents, {}
+    for s in states:
+        per_agent = [rng.sample(actions, rng.randint(1, n_actions)) for _ in agents]
+        for profile in product_profiles(agents, per_agent):
+            out_ag[(s, profile)] = frozenset((rng.choice(states),))
     return universe, tuple(atoms), actions, states, label, out_ag
 
 
@@ -429,12 +440,12 @@ def _disjoint_union(parts: Iterable[tuple]) -> GameModel:
     return GameModel(universe, atoms, tuple(actions), tuple(states), label, out_ag)
 
 
-def _chunks(count: int, size: int = 4) -> Iterator[range]:
-    """``range(count)`` in blocks of ``size``, doubling up to 128 indices."""
-    start = 0
-    while start < count:
-        yield range(start, min(start + size, count))
-        start, size = start + size, min(2 * size, 128)
+def _chunks(items: Iterable, size: int = 4) -> Iterator[list]:
+    """``items`` in lists of ``size``, doubling up to 128 items."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+        size = min(2 * size, 128)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -8,13 +8,11 @@ verdict must survive the bounded search, and the classic axiom instances
 must fail only on models whose classification violates the matching
 property.  Everything is reproducible from the configured seed.
 
-Models are checked in chunks.  Truth is local: ``<A>phi`` at a state reads
-only that state's rows and the truth of ``phi`` at their outcomes, which lie
-in the same part of a disjoint union, so a formula's column on a disjoint
-union of models is the union of its columns on the parts (invariance under
-disjoint unions; Blackburn, de Rijke & Venema, Modal Logic, Prop. 2.3).
-The search draws a chunk's models with state names prefixed by their index
-and checks the chunk as one model with one ``eval_all``.
+The search checks its models in chunks, each as one disjoint union with
+one ``eval_all``.  Truth is local: ``<A>phi`` at a state reads only that
+state's rows and the truth of ``phi`` at their outcomes, in the same part,
+so a formula's column on a disjoint union of models is the union of its
+columns on the parts (Blackburn, de Rijke & Venema, Modal Logic, Prop. 2.3).
 """
 
 from __future__ import annotations
@@ -26,10 +24,10 @@ from dataclasses import dataclass, field
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Formula, Neg, bot,
                       implies, lor, pretty)
 # random_cgm and random_model stay imported for bench/spans.py, which patches them here
-from .model import (GameModel, _chunks, _disjoint_union, _random_parts, classify,
-                    dumps, full_profiles, random_cgm, random_model)
+from .model import (GameModel, _cgm_parts, _chunks, _disjoint_union, _gcgm_parts,
+                    classify, dumps, full_profiles, random_cgm, random_model)
 from .semantics import PointedModel, eval_all
-from .decide import _run, decide_valid
+from .decide import decide_valid
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,43 +61,37 @@ class SearchBounds:
             raise ValueError("sample count and budget must not be negative")
 
 
-def _enumerated(bounds: SearchBounds, k: int, prefix: str = "") -> tuple:
-    """The ``GameModel`` arguments of the k-th model of ``enumerate_models``.
-
-    Per size, the labelling is a bit vector over (state, atom) pairs and the
-    outcome table one over (state, profile, target) triples; ``k`` counts
-    through both, the labelling fastest."""
+def _walk(bounds: SearchBounds):
+    """The models of ``enumerate_models`` as (state count, actions, profiles,
+    bits): per size, ``bits`` runs through the labelling, a bit vector over
+    (state, atom) pairs, then the outcome table over (state, profile, target)."""
     for n_states in range(1, bounds.max_states + 1):
         for n_actions in range(1, bounds.max_actions + 1):
             actions = tuple(f"x{i}" for i in range(n_actions))
             profiles = full_profiles(bounds.universe.agents, actions)
-            size = 1 << n_states * (len(bounds.atoms) + len(profiles) * n_states)
-            if k >= size:
-                k -= size
-                continue
-            states = tuple(f"{prefix}s{i}" for i in range(n_states))
-            bit = itertools.count()  # the bits of k, in slot order
-            label = {s: frozenset(a for a in bounds.atoms if k >> next(bit) & 1)
-                     for s in states}
-            out_ag = {(s, p): to for s in states for p in profiles
-                      if (to := frozenset(t for t in states if k >> next(bit) & 1))}
-            return bounds.universe, bounds.atoms, actions, states, label, out_ag
+            for bits in range(1 << n_states * (len(bounds.atoms) + len(profiles) * n_states)):
+                yield n_states, actions, profiles, bits
 
 
-def _space(bounds: SearchBounds) -> int:
-    """How many models ``enumerate_models`` walks, budget aside."""
-    n, m = len(bounds.universe), len(bounds.atoms)
-    return sum(1 << (s * a ** n * s + s * m) for s in range(1, bounds.max_states + 1)
-               for a in range(1, bounds.max_actions + 1))
+def _enumerated(bounds: SearchBounds, walked: tuple, prefix: str = "") -> tuple:
+    """The ``GameModel`` arguments of one model of ``_walk``, states prefixed."""
+    n_states, actions, profiles, bits = walked
+    states = tuple(f"{prefix}s{i}" for i in range(n_states))
+    bit = itertools.count()  # the positions of ``bits``, in slot order
+    label = {s: frozenset(a for a in bounds.atoms if bits >> next(bit) & 1) for s in states}
+    out_ag = {(s, p): to for s in states for p in profiles
+              if (to := frozenset(t for t in states if bits >> next(bit) & 1))}
+    return bounds.universe, bounds.atoms, actions, states, label, out_ag
 
 
 def enumerate_models(bounds: SearchBounds):
     """Every model within the bounds, reproducibly ordered: by size, then
     by outcome table, then by labelling.  Raises BudgetExceededError after
     ``budget`` models."""
-    for k in range(min(_space(bounds), bounds.budget)):
-        yield GameModel(*_enumerated(bounds, k))
-    if _space(bounds) > bounds.budget:
+    walk = _walk(bounds)
+    for walked in itertools.islice(walk, bounds.budget):
+        yield GameModel(*_enumerated(bounds, walked))
+    if next(walk, None) is not None:
         raise BudgetExceededError(f"enumeration budget of {bounds.budget} models exceeded")
 
 
@@ -111,8 +103,8 @@ def _sampled(bounds: SearchBounds, k: int, prefix: str = "") -> tuple:
     n_actions = bounds.max_actions if rng.random() < 0.75 \
         else rng.randint(1, bounds.max_actions)
     density = rng.choice((0.0, 0.1, 0.2, 0.35, 0.5, 0.75))
-    return _random_parts(bounds.universe, n_states, n_actions, rng.randrange(2 ** 32),
-                         bounds.atoms, density, prefix)
+    return _gcgm_parts(bounds.universe, n_states, n_actions, density,
+                       rng.randrange(2 ** 32), bounds.atoms, prefix)
 
 
 def sample_models(bounds: SearchBounds):
@@ -133,17 +125,17 @@ def search_countermodel(f: Formula, bounds: SearchBounds) -> PointedModel | None
     In exhaustive mode a None answer is complete for the bounded space;
     BudgetExceededError signals a truncated (hence inconclusive) walk.
     """
-    exhaustive = bounds.mode == "exhaustive"
+    exhaustive, walk = bounds.mode == "exhaustive", _walk(bounds)
     draw = _enumerated if exhaustive else _sampled
-    for chunk in _chunks(min(_space(bounds), bounds.budget) if exhaustive
-                         else bounds.n_samples):
-        union = _disjoint_union(draw(bounds, k, f"{k}.") for k in chunk)
+    for chunk in _chunks(itertools.islice(walk, bounds.budget) if exhaustive
+                         else range(bounds.n_samples)):
+        union = _disjoint_union(draw(bounds, item, f"{i}.") for i, item in enumerate(chunk))
         column = eval_all(union, f)
         failed = next((s for s in union.states if not column[s]), None)
         if failed is not None:
-            k, state = failed.split(".", 1)
-            return PointedModel(GameModel(*draw(bounds, int(k))), state)
-    if exhaustive and _space(bounds) > bounds.budget:
+            i, state = failed.split(".", 1)
+            return PointedModel(GameModel(*draw(bounds, chunk[int(i)])), state)
+    if exhaustive and next(walk, None) is not None:
         raise BudgetExceededError(f"enumeration budget of {bounds.budget} models exceeded")
     return None
 
@@ -152,39 +144,32 @@ def search_countermodel(f: Formula, bounds: SearchBounds) -> PointedModel | None
 
 def random_propositional(rng: random.Random, atoms: tuple[str, ...],
                          size: int) -> Formula:
-    return random_formula(rng, None, atoms, 0, size)
-
-
-def random_formula(rng: random.Random, universe: AgentUniverse,
-                   atoms: tuple[str, ...], depth: int, size: int = 8) -> Formula:
-    """A random core formula of exactly the given modal depth (propositional
-    at depth 0), drawn on the explicit stack of ``decide._run``."""
-    if depth < 0:
-        raise ValueError("modal depth must not be negative")
-    return _run(_draw(rng, universe, atoms, depth, size))
-
-
-def _draw(rng, universe, atoms, depth, size):
-    """The step drawing one formula: it yields the step of each operand and
-    is sent the operand's formula, so the draws keep their recursive order."""
-    if depth == 0 and (size <= 1 or rng.random() < 0.4):
+    if size <= 1 or rng.random() < 0.4:
         roll = rng.random()
         if roll < 0.8:
             atom: Formula = Atom(rng.choice(atoms))
             return atom if rng.random() < 0.6 else Neg(atom)
         return TOP if roll < 0.9 else bot()
+    a = random_propositional(rng, atoms, size // 2)
+    b = random_propositional(rng, atoms, size // 2)
+    return rng.choice((And, lor, implies))(a, b)
+
+
+def random_formula(rng: random.Random, universe: AgentUniverse,
+                   atoms: tuple[str, ...], depth: int, size: int = 8) -> Formula:
+    """A random core formula of exactly the given modal depth."""
     if depth == 0:
-        a = yield _draw(rng, universe, atoms, 0, size // 2)
-        b = yield _draw(rng, universe, atoms, 0, size // 2)
-        return rng.choice((And, lor, implies))(a, b)
+        return random_propositional(rng, atoms, size)
+    if depth < 0:
+        raise ValueError("modal depth must not be negative")
     roll = rng.random()
     if roll < 0.5 or size <= 2:
         coalition = universe.coalition(*[a for a in universe.agents if rng.random() < 0.5])
-        return Can(coalition, (yield _draw(rng, universe, atoms, depth - 1, size - 1)))
+        return Can(coalition, random_formula(rng, universe, atoms, depth - 1, size - 1))
     if roll < 0.65:
-        return Neg((yield _draw(rng, universe, atoms, depth, size - 1)))
-    deep = yield _draw(rng, universe, atoms, depth, size // 2)
-    other = yield _draw(rng, universe, atoms, rng.randint(0, depth), size // 2)
+        return Neg(random_formula(rng, universe, atoms, depth, size - 1))
+    deep = random_formula(rng, universe, atoms, depth, size // 2)
+    other = random_formula(rng, universe, atoms, rng.randint(0, depth), size // 2)
     a, b = (deep, other) if rng.random() < 0.5 else (other, deep)
     return rng.choice((And, lor, implies))(a, b)
 
@@ -329,17 +314,20 @@ def _scheme_model(bounds: SearchBounds, k: int, prefix: str = "") -> tuple:
     models alternate with CGMs."""
     rng = random.Random(bounds.seed * 9_973 + k)
     n_states, n_actions = rng.randint(1, bounds.max_states), rng.randint(1, bounds.max_actions)
-    density = None if k % 2 else rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
-    return _random_parts(bounds.universe, n_states, n_actions, rng.randrange(2 ** 32),
-                         bounds.atoms, density, prefix)
+    if k % 2:
+        return _cgm_parts(bounds.universe, n_states, n_actions, rng.randrange(2 ** 32),
+                          bounds.atoms, prefix)
+    density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+    return _gcgm_parts(bounds.universe, n_states, n_actions, density,
+                       rng.randrange(2 ** 32), bounds.atoms, prefix)
 
 
 def _scheme_separation(config: DifferentialConfig,
                        report: DifferentialReport) -> None:
     bounds = config.bounds
     instances = _axiom_instances(bounds.universe, bounds.atoms)
-    for chunk in _chunks(config.scheme_models, 128):  # every model is checked
-        parts = [_scheme_model(bounds, k, f"{k}.") for k in chunk]
+    for chunk in _chunks(range(config.scheme_models), 128):  # every model is checked
+        parts = [_scheme_model(bounds, k, f"{i}.") for i, k in enumerate(chunk)]
         union = _disjoint_union(parts)
         columns = [eval_all(union, instance) for _, instance in instances]
         for k, part in zip(chunk, parts):

@@ -116,8 +116,8 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # model bounds without a state
-    ("fuzz", "--agents", "a", "--max-states", "0", "--formulas", "1"),
+    # oracle.random_formula recurses once per level of --depth
+    ("fuzz", "--agents", "a", "--depth", "3000", "--formulas", "1"),
     # deep parentheses with one closer missing
     ("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 2999),
     # fuzz configurations that cannot generate a formula
