@@ -19,22 +19,27 @@ Each reduction strictly lowers modal depth, so the decision terminates.
 When a clause fails both cases, a refuting pointed model is grafted: one
 fresh hub state plays a one-round game whose outcomes are the entry states
 of sub-models, one per pair (i, j) with A_i a subset of B_j, each
-satisfying phi_NI0 & phi_i & ~psi_j.  The k-th sub-model's states get the
-prefix ``g<k>.``; action names are shared, since availability is derived
-per state.  At the hub, profile sigma^i has all agents play the action
-alpha_i and leads to the sub-models for row i; for every pair with A_i not
-a subset of B_j, a spoiler profile lambda^(i,j) differs from sigma^i only
-in that a witness agent from A_i - B_j plays beta_(i,j) instead, and it
-leads everywhere.
+satisfying phi_NI0 & phi_i & ~psi_j.  At the hub, profile sigma^i has all
+agents play the action alpha_i and leads to the sub-models for row i; for
+every pair with A_i not a subset of B_j, a spoiler profile lambda^(i,j)
+differs from sigma^i only in that a witness agent from A_i - B_j plays
+beta_(i,j) instead, and it leads everywhere.
 
 The decision runs on one explicit stack (``_run``): a clause yields the
 decision of each pair goal it needs and is sent the result, so chains of
 pair reductions nest at any depth.  Pair verdicts are memoized
 unassembled, per decision, by their parts (phi_NI0, phi_i, psi_j), so each
-distinct pair goal is built and decided once.  The decision's countermodel
-is assembled once, from the root, and certified once: every "invalid"
+distinct pair goal is built and decided once and the refutations form a
+DAG.  The countermodel is assembled once, with one state per hub and one
+per distinct dead-end label, named ``s0`` (the point), ``s1``, ... in
+preorder; hubs share action names, as availability is derived per state.
+Sharing keeps truth: sending each copy of a hub in the grafted tree to its
+state and each dead end to its label's keeps labels and maps rows onto
+rows, a bounded morphism (Blackburn, de Rijke & Venema, *Modal Logic*,
+2001, 2.1).  The model is certified once, from the point: every "invalid"
 verdict carries a countermodel on which the model checker confirms
-falsity.  Only the assembly declares the model's atoms and actions.
+falsity.  Only the assembly declares its atoms and actions (``idle``
+without a hub).
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class SatVerdict:
 
 @dataclass(frozen=True)
 class GameForm:
-    """The one-round game grafted at the hub state."""
+    """The one-round game grafted at the hub state; target ``t<k>`` is its k-th outcome."""
 
     hub: str
     targets: tuple[str, ...]
@@ -126,8 +131,7 @@ def decide_valid(f: Formula, universe: AgentUniverse) -> Verdict:
 def decide_sat(f: Formula, universe: AgentUniverse) -> SatVerdict:
     """Satisfiability via validity of the negation; the witness (when
     satisfiable) is the countermodel of ``~f``."""
-    # certified: ~f is false at the witness, and eval_all computed f's
-    # column as the child of ~f
+    # certified: ~f is false at the witness, so f holds there
     pm, trace = _refute(Neg(f), universe)
     return SatVerdict(pm is not None, pm, trace)
 
@@ -264,7 +268,7 @@ def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
                  for i in range(len(sf.ni)) for j in range(len(sf.pi))
                  if not sf.ni[i][0].issubset(sf.pi[j][0])]
 
-    targets = tuple(f"g{k}.s0" for k in range(len(refutations)))
+    targets = tuple(f"t{k}" for k in range(len(refutations)))
     all_targets = frozenset(targets)
 
     alpha = [f"alpha{i}" for i in range(len(sf.ni))]
@@ -288,31 +292,34 @@ def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
 
 def _certified(root: _Refutation, universe: AgentUniverse, f: Formula,
                clause: StandardFormula | None, failure: str) -> PointedModel:
-    """The model of ``root``, states named by path in preorder, once the model
-    checker confirms that ``f`` is false at its hub ``s0``.  It declares the
-    refuted ``clause``'s atoms (None at depth 0; they hold every pair goal's),
-    then the rest of ``f``'s, each sorted, and the hubs' actions in preorder."""
+    """The model of the DAG below ``root``, once the model checker confirms
+    that ``f`` is false at its point ``s0``.  It declares the refuted
+    ``clause``'s atoms (None at depth 0; they hold every pair goal's), then
+    the rest of ``f``'s, each sorted, and the hubs' actions in preorder."""
     atoms = [] if clause is None else sorted(
         atoms_in(*clause.gamma, *(g for _, g in clause.ni + clause.pi)))
     atoms += sorted(atoms_of(f).difference(atoms))
-    actions: dict[str, None] = {}
-    states: list[str] = []
-    label: dict[str, frozenset[str]] = {}
-    out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
-    stack = [("", root)]
+    names: dict[object, str] = {}  # hubs by identity, dead ends by label
+    stack = [root]
     while stack:
-        prefix, node = stack.pop()
-        hub = prefix + "s0"
-        states.append(hub)
-        label[hub] = node.label
-        actions.update(dict.fromkeys(("idle",) if node.form is None else node.form.actions))
-        if node.form is not None:
+        node = stack.pop()
+        key = node.label if node.form is None else node
+        if key not in names:
+            names[key] = f"s{len(names)}"
+            stack.extend(reversed(node.children))
+    label = {state: key if isinstance(key, frozenset) else key.label
+             for key, state in names.items()}
+    actions: dict[str, None] = {}
+    out_ag: dict[tuple[str, JointAction], frozenset[str]] = {}
+    for node, hub in names.items():
+        if isinstance(node, _Refutation):
+            actions.update(dict.fromkeys(node.form.actions))
+            entry = {t: names[c.label if c.form is None else c]
+                     for t, c in zip(node.form.targets, node.children)}
             for profile, targets in node.form.out0.items():
-                out_ag[(hub, profile)] = frozenset(prefix + t for t in targets)
-        stack.extend((f"{prefix}g{k}.", node.children[k])
-                     for k in reversed(range(len(node.children))))
-    pm = PointedModel(GameModel(universe, tuple(atoms), tuple(actions), tuple(states),
-                                label, out_ag), "s0")
+                out_ag[(hub, profile)] = frozenset(map(entry.__getitem__, targets))
+    pm = PointedModel(GameModel(universe, tuple(atoms), tuple(actions) or ("idle",),
+                                tuple(names.values()), label, out_ag), "s0")
     if holds(pm, f):
         raise CertificationError(failure)
     return pm

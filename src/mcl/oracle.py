@@ -279,6 +279,7 @@ def differential_run(config: DifferentialConfig) -> DifferentialReport:
         else:
             report.invalid_count += 1
             pm = verdict.countermodel
+            # re-checks the decider's certificate (holds, from the point) globally
             if eval_all(pm.model, f)[pm.state]:
                 report.discrepancies.append(Discrepancy(
                     kind="invalid-uncertified", formula=pretty(f),

@@ -3,8 +3,11 @@
 Truth is compositional: ``<A>phi`` holds at a state when some available
 joint action of ``A`` there has all its outcome states satisfying ``phi``.
 ``eval_all`` fills one truth column per subformula bottom-up, so every
-(subformula, state) pair is evaluated once; ``holds`` and ``ensures`` are
-thin wrappers over it.  All functions are pure.
+(subformula, state) pair is evaluated once; ``ensures`` wraps it.  On
+models of over 64 states ``holds`` checks from the point (local model
+checking, Stirling & Walker, TCS 1991): a downward pass marks where each
+subformula is read, and each ``<A>`` is checked only there.  All
+functions are pure.
 
 Columns are int bitsets over state indices (bit k is ``model.states[k]``),
 so ``~`` and ``&`` are single big-int operations.  The formula is compiled
@@ -20,6 +23,7 @@ never walks the profile space, and caches nothing on the model.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -29,6 +33,8 @@ from .model import GameModel, JointAction
 
 # per state, in ``model.states`` order: (profile items, outcome mask) rows
 _Rows = list[list[tuple[tuple[tuple[str, str], ...], int]]]
+# up to this many states, checking them all costs less than the downward pass
+_LOCAL_MIN_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -55,13 +61,35 @@ def check_compatible(model: GameModel, f: Formula) -> None:
 
 def eval_all(model: GameModel, f: Formula) -> dict[str, bool]:
     """Truth value of ``f`` at every state of ``model``."""
+    column = _column(model, f)
+    return {s: bool(column >> k & 1) for k, s in enumerate(model.states)}
+
+
+def _column(model: GameModel, f: Formula, point: int | None = None) -> int:
+    """The column of ``f``: exact at every state, or only at state ``point``."""
     check_compatible(model, f)
     states = model.states
     full = (1 << len(states)) - 1
     rows: _Rows = []  # one list per state, built at the first <A>
     groups: dict[frozenset[str], list[tuple[int, ...]]] = {}
+    subs, slots = subformulas(f), walk(f).slots
+    needs = None  # per subformula, a mask of the states where the point's truth reads it
+    if point is not None and len(states) > _LOCAL_MIN_STATES:
+        rows = _outcome_masks(model)
+        needs = [0] * (len(subs) - 1) + [1 << point]
+        for i in reversed(range(len(subs))):  # parents before children
+            (x, y), need = slots[i], needs[i]
+            if x < 0 or not need:
+                continue
+            if isinstance(subs[i], Can):  # the child, at every outcome
+                need = 0
+                for k in _bits(needs[i]):
+                    for _, mask in rows[k]:
+                        need |= mask
+            needs[x] |= need
+            needs[y] |= need
     cols: list[int] = []  # cols[i] is the column of subformula i
-    for g, (x, y) in zip(subformulas(f), walk(f).slots):
+    for g, (x, y) in zip(subs, slots):
         if isinstance(g, Neg):
             col = full & ~cols[x]
         elif isinstance(g, And):
@@ -73,7 +101,9 @@ def eval_all(model: GameModel, f: Formula) -> dict[str, bool]:
                 groups[members] = _group_masks(rows, model.universe, members)
             outside = ~cols[x]
             col = 0
-            for k, masks in enumerate(groups[members]):
+            group = groups[members]  # this subformula is number len(cols)
+            for k, masks in (enumerate(group) if needs is None
+                             else ((k, group[k]) for k in _bits(needs[len(cols)]))):
                 for mask in masks:
                     if not mask & outside:
                         col |= 1 << k
@@ -84,8 +114,14 @@ def eval_all(model: GameModel, f: Formula) -> dict[str, bool]:
         else:
             col = full
         cols.append(col)
-    column = cols[-1]
-    return {s: bool(column >> k & 1) for k, s in enumerate(states)}
+    return cols[-1]
+
+
+def _bits(mask: int) -> Iterator[int]:  # the positions of the set bits, lowest first
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _outcome_masks(model: GameModel) -> _Rows:
@@ -123,8 +159,9 @@ def _group_masks(rows: _Rows, universe: AgentUniverse,
 
 
 def holds(pm: PointedModel, f: Formula) -> bool:
-    """Truth of ``f`` at the designated state."""
-    return eval_all(pm.model, f)[pm.state]
+    """Truth of ``f`` at the designated state (see the module docstring)."""
+    k = pm.model.states.index(pm.state)
+    return bool(_column(pm.model, f, k) >> k & 1)
 
 
 def ensures(pm: PointedModel, coalition: Coalition, action: JointAction,

@@ -271,6 +271,17 @@ def test_fuzz_clean_run_exits_zero(capsys):
     assert payload["discrepancies"] == []
 
 
+def test_deep_fuzz_formula_is_decided_and_certified(capsys):
+    # the drawn formula's refutations share sub-refutations; assembled as a
+    # tree, its countermodel would not fit in memory
+    code, out, _ = run(capsys, "fuzz", "--agents", "a", "--depth", "100",
+                       "--formulas", "1", "--samples", "5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["formulas_checked"] == 1
+    assert payload["discrepancies"] == []
+
+
 def test_agents_default_to_those_mentioned(capsys):
     # the grand coalition defaults to the agents the formula names, so a
     # coalition-monotonicity instance stays valid without --agents

@@ -6,6 +6,7 @@ from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, JointAction,
                  Neg, PointedModel, Top, box, dia, dual, ensures, eval_all,
                  holds, implies, lor, modal_depth, parse, random_cgm,
                  random_formula, random_model)
+from mcl import semantics
 from mcl.formula import Formula, subformulas, walk
 
 
@@ -250,6 +251,26 @@ def test_eval_all_agrees_with_holds(ab):
         column = eval_all(m, f)
         for s in m.states:
             assert column[s] == holds(PointedModel(m, s), f)
+
+
+def test_holds_from_the_point_agrees_with_eval_all(monkeypatch):
+    # holds checks on demand from the point, eval_all at every state; with
+    # the size threshold lowered, every holds call takes the downward pass
+    monkeypatch.setattr(semantics, "_LOCAL_MIN_STATES", 0)
+    rng = random.Random("point-vs-every-state")
+    dead_ends = 0
+    for k in range(2000):
+        u = AgentUniverse(("a", "b", "c")[:rng.randint(1, 3)])
+        if k % 2:
+            m = random_cgm(u, rng.randint(1, 4), rng.randint(1, 2), seed=k)
+        else:
+            m = random_model(u, rng.randint(1, 4), rng.randint(1, 2),
+                             rng.choice((0.0, 0.2, 0.5, 0.8)), seed=k)
+        f = random_formula(rng, u, ("p", "q"), rng.randint(0, 3))
+        column = eval_all(m, f)
+        assert {s: holds(PointedModel(m, s), f) for s in m.states} == column
+        dead_ends += any(not m.canonical_rows(s) for s in m.states)
+    assert dead_ends >= 400
 
 
 # -- semantic laws on sampled models ----------------------------------------------------
