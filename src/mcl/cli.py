@@ -1,10 +1,10 @@
 """Command-line surface: one process per invocation, all state on disk.
 
 Exit status: 0 on success, 1 on semantic errors (bad formula or model,
-failed fuzz run, or input nested too deeply: of the inputs tried, only
-``fuzz --depth`` in the thousands reaches ``main``'s ``RecursionError``
-handler), 2 on usage errors, 3 on an internal error (a produced model
-failed its own model-checking certificate).  Errors print one ``error:`` or
+failed fuzz run, memory run out, or input nested too deeply: of the inputs
+tried, only ``fuzz --depth`` in the thousands reaches ``main``'s
+``RecursionError`` handler), 2 on usage errors, 3 on an internal error (a
+produced model failed its own model-checking certificate).  Errors print one ``error:`` or
 ``internal error:`` line on standard error; the internal-error line ends
 with the input formula, whitespace collapsed.  ``--agents`` fixes the grand
 coalition and its canonical order for everything downstream; when omitted,
@@ -309,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except CertificationError as exc:
         text = getattr(args, "formula", None)

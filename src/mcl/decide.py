@@ -38,8 +38,8 @@ state and each dead end to its label's keeps labels and maps rows onto
 rows, a bounded morphism (Blackburn, de Rijke & Venema, *Modal Logic*,
 2001, 2.1).  The model is certified once, from the point: every "invalid"
 verdict carries a countermodel on which the model checker confirms
-falsity.  Only the assembly declares its atoms and actions (``idle``
-without a hub).
+falsity.  Only the assembly declares atoms (the input's, sorted) and
+actions (``idle`` without a hub).
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 # canonical_key, rename_disjoint and to_standard_conjunction stay imported,
 # unused: bench/spans.py patches them by these names in this module
-from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_in, atoms_of,
-                      canonical_key, coalitions_of, conj, implies, modal_depth)
+from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of, canonical_key,
+                      coalitions_of, conj, implies, modal_depth)
 from .model import GameModel, JointAction, _chunks, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          standard_clauses, to_standard_conjunction)
@@ -149,8 +149,7 @@ def _refute(f: Formula, universe: AgentUniverse
     node, trace = _run(_decide(f, universe, {}))
     if node is None:
         return None, trace
-    return _certified(node, universe, f, trace[-1].clause,
-                      "countermodel does not refute the formula"), trace
+    return _certified(node, universe, f, "countermodel does not refute the formula"), trace
 
 
 def _run(decision: _Step) -> tuple:
@@ -249,7 +248,7 @@ def build_countermodel_detailed(sf: StandardFormula,
     if outcome.case != "refuted":
         raise ValueError("clause is valid; no countermodel exists")
     node = _graft(outcome, refutations, universe)
-    pm = _certified(node, universe, f, sf, "grafted model does not refute the clause")
+    pm = _certified(node, universe, f, "grafted model does not refute the clause")
     return pm, node.form
 
 
@@ -291,14 +290,10 @@ def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
 
 
 def _certified(root: _Refutation, universe: AgentUniverse, f: Formula,
-               clause: StandardFormula | None, failure: str) -> PointedModel:
+               failure: str) -> PointedModel:
     """The model of the DAG below ``root``, once the model checker confirms
-    that ``f`` is false at its point ``s0``.  It declares the refuted
-    ``clause``'s atoms (None at depth 0; they hold every pair goal's), then
-    the rest of ``f``'s, each sorted, and the hubs' actions in preorder."""
-    atoms = [] if clause is None else sorted(
-        atoms_in(*clause.gamma, *(g for _, g in clause.ni + clause.pi)))
-    atoms += sorted(atoms_of(f).difference(atoms))
+    that ``f`` is false at its point ``s0``.  It declares ``f``'s atoms,
+    sorted (they hold every pair goal's), and the hubs' actions in preorder."""
     names: dict[object, str] = {}  # hubs by identity, dead ends by label
     stack = [root]
     while stack:
@@ -318,8 +313,9 @@ def _certified(root: _Refutation, universe: AgentUniverse, f: Formula,
                      for t, c in zip(node.form.targets, node.children)}
             for profile, targets in node.form.out0.items():
                 out_ag[(hub, profile)] = frozenset(map(entry.__getitem__, targets))
-    pm = PointedModel(GameModel(universe, tuple(atoms), tuple(actions) or ("idle",),
-                                tuple(names.values()), label, out_ag), "s0")
+    pm = PointedModel(GameModel(universe, tuple(sorted(atoms_of(f))),
+                                tuple(actions) or ("idle",), tuple(names.values()),
+                                label, out_ag), "s0")
     if holds(pm, f):
         raise CertificationError(failure)
     return pm

@@ -324,7 +324,6 @@ def walk(f: Formula) -> Walk:
     clashes: dict[Formula, int] = {}  # unequal ones whose hash was taken
     atoms: list[str] = []
     coalitions: set[Coalition] = set()
-    last = None  # the coalition added last
     done: list[int] = []  # slots of the subformulas just finished, last on top
     todo: list = [f]  # subformulas to visit; None: finish the run below it
     while todo:
@@ -346,9 +345,8 @@ def walk(f: Formula) -> Walk:
                 if kind is not Neg and kind is not Can:
                     x = y = -1
                     break
-                if kind is Can and g.coalition is not last:
-                    last = g.coalition
-                    coalitions.add(last)
+                if kind is Can:
+                    coalitions.add(g.coalition)
                 g = g.child
             if kind is And and x == -1:  # operands first, left to right
                 todo += (run, None, g.right, g.left)
@@ -366,24 +364,6 @@ def walk(f: Formula) -> Walk:
     f.__dict__["_walk"] = result = Walk(
         tuple(subs), tuple(slots), frozenset(atoms), frozenset(coalitions))
     return result
-
-
-def atoms_in(*parts: Formula) -> set[str]:
-    """The atoms of ``parts``, by a scan that caches no walk on them; each
-    ``And`` is entered once, so shared operands are not scanned again."""
-    names: set[str] = set()
-    entered: set[int] = set()
-    todo = list(parts)
-    while todo:
-        g = todo.pop()
-        while g.__class__ is Neg or g.__class__ is Can:
-            g = g.child
-        if g.__class__ is Atom:
-            names.add(g.name)
-        elif g.__class__ is And and id(g) not in entered:
-            entered.add(id(g))
-            todo += (g.left, g.right)
-    return names
 
 
 def atoms_of(f: Formula) -> frozenset[str]:

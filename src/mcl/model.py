@@ -259,9 +259,6 @@ class GameModel:
                 acc |= targets
         return acc
 
-    def successors(self, state: str) -> frozenset[str]:
-        return self.out(self.universe.empty, state, EMPTY_ACTION)
-
     def _check_coalition(self, coalition: Coalition) -> None:
         if coalition.universe != self.universe:
             raise ValueError("coalition universe differs from the model's")

@@ -228,6 +228,15 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     assert err.rstrip().endswith("(formula: <{a}>p)")
 
 
+def test_out_of_memory_exits_1_without_traceback(capsys, monkeypatch):
+    def exhausted(f, universe):
+        raise MemoryError
+    monkeypatch.setattr(mcl.cli, "decide_valid", exhausted)
+    code, _, err = run(capsys, "valid", "--formula", "p")
+    assert code == 1
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("source", ["argv", "file"])
 def test_certification_failure_writes_nothing(capsys, monkeypatch, tmp_path, source):
     monkeypatch.setattr(mcl.decide, "holds", lambda pm, f: True)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, JointAction,
-                 Neg, PointedModel, Top, box, dia, dual, ensures, eval_all,
+from mcl import (EMPTY_ACTION, TOP, AgentUniverse, And, Atom, Can, GameModel,
+                 JointAction, Neg, PointedModel, Top, box, dia, dual, ensures, eval_all,
                  holds, implies, lor, modal_depth, parse, random_cgm,
                  random_formula, random_model)
 from mcl import semantics
@@ -303,7 +303,7 @@ def test_box_dia_reduce_to_successor_quantifiers(ab):
         box_col = eval_all(m, box(ab, f))
         dia_col = eval_all(m, dia(ab, f))
         for s in m.states:
-            succ = m.successors(s)
+            succ = m.out(m.universe.empty, s, EMPTY_ACTION)
             has_move = bool(m.available_profiles(s))
             assert box_col[s] == (not has_move or all(inner[t] for t in succ))
             assert dia_col[s] == (has_move and any(inner[t] for t in succ))
