@@ -14,7 +14,7 @@ from .model import (EMPTY_ACTION, GameModel, JointAction, ModelClassification,
                     ModelError, classify, dumps, load, load_fixture, loads,
                     oplus, random_cgm, random_model, rename_disjoint, save)
 from .semantics import PointedModel, ensures, eval_all, holds
-from .normalform import (Ni0Summary, StandardFormula, gamma_is_tautology, ni0,
+from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          standard_clauses, to_standard_conjunction)
 from .decide import (CertificationError, ClauseOutcome, GameForm, SatVerdict,
                      Verdict, build_countermodel_detailed,

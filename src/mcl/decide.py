@@ -200,11 +200,9 @@ def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
 
 # -- modal case -------------------------------------------------------------------
 
-def pair_implication(sf: StandardFormula, i: int, j: int,
-                     phi0: Formula | None = None) -> Formula:
-    """(phi_NI0 & phi_i) -> psi_j, the goal for a pair; ``phi0`` is phi_NI0 if given."""
-    phi0 = ni0(sf).phi if phi0 is None else phi0
-    return implies(And(phi0, sf.ni[i][1]), sf.pi[j][1])
+def pair_implication(sf: StandardFormula, i: int, j: int) -> Formula:
+    """(phi_NI0 & phi_i) -> psi_j, the goal for the pair (i, j)."""
+    return implies(And(ni0(sf), sf.ni[i][1]), sf.pi[j][1])
 
 
 def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo) -> _Step:
@@ -212,7 +210,7 @@ def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo) ->
     the refutation of each failed pair reduction, in ``failed_pairs`` order."""
     if gamma_is_tautology(sf.gamma):
         return ClauseOutcome(sf, "gamma"), []
-    phi0 = ni0(sf).phi
+    phi0 = ni0(sf)
     failed: list[tuple[int, int]] = []
     refutations: list[_Refutation] = []
     for i, (coal_a, phi) in enumerate(sf.ni):
@@ -224,7 +222,7 @@ def _decide_clause(sf: StandardFormula, universe: AgentUniverse, memo: _Memo) ->
             key = (phi0, phi, psi)
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = yield _decide(pair_implication(sf, i, j, phi0), universe, memo)
+                hit = memo[key] = yield _decide(pair_implication(sf, i, j), universe, memo)
             if hit[0] is None:
                 return ClauseOutcome(sf, "pair", pair=(i, j)), []
             failed.append((i, j))
@@ -265,7 +263,7 @@ def _graft(outcome: ClauseOutcome, refutations: list[_Refutation],
 
     pairs_out = [(i, j)
                  for i in range(len(sf.ni)) for j in range(len(sf.pi))
-                 if not sf.ni[i][0].issubset(sf.pi[j][0])]
+                 if not sf.ni[i][0].members <= sf.pi[j][0].members]
 
     targets = tuple(f"t{k}" for k in range(len(refutations)))
     all_targets = frozenset(targets)

@@ -77,18 +77,9 @@ class StandardFormula:
         return 1 + max(modal_depth(g) for _, g in self.ni + self.pi)
 
 
-@dataclass(frozen=True)
-class Ni0Summary:
-    """Negative-side entries with the empty coalition, and their conjunction."""
-
-    indices: tuple[int, ...]
-    phi: Formula
-
-
-def ni0(sf: StandardFormula) -> Ni0Summary:
-    indices = tuple(i for i, (c, _) in enumerate(sf.ni) if not c.members)
-    phi = conj(sf.ni[i][1] for i in indices)
-    return Ni0Summary(indices, phi)
+def ni0(sf: StandardFormula) -> Formula:
+    """phi_NI0: the goals of the empty-coalition negative entries, conjoined."""
+    return conj(g for c, g in sf.ni if not c.members)
 
 
 def _is_gamma_literal(f: Formula) -> bool:

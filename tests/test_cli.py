@@ -1,4 +1,5 @@
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -380,3 +381,102 @@ def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
             assert out.startswith(expected[:-3]), (argv, out)
         else:
             assert out.strip() == expected, (argv, out)
+
+
+# -- hostile input -----------------------------------------------------------------
+
+_FIXTURES = Path(mcl.model.__file__).resolve().parent / "fixtures"
+_JUNK = (None, True, -1, 2.5, "", "x", "s0", [], {}, [[]], {"a": None}, ["a", "a"])
+_FORMULAS = ("(<{a}>p & <{b}>q) -> <{a,b}>(p & q)", "~<{a,b}>false",
+             "(p <-> q) -> r -> [{a,b}]~~box q <-> dia ~p",
+             "<{a}>(p | q) -> (<{a}>p | <{a,b}>q)", "<{}>p & ~<{a}><{b}>~p")
+_FORMULA_CHARS = "()<>{}[],~&|-pqab !\t"
+
+
+def _json_paths(node, path=()):
+    """The path of every node below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutated_model(rng, doc):
+    """Model text with one mutation: a key deleted, a value of the wrong type,
+    a list entry dropped or duplicated, or the text truncated."""
+    doc = json.loads(json.dumps(doc))
+    kind = rng.randrange(5)
+    if kind == 4:
+        text = json.dumps(doc)
+        return text[:rng.randrange(len(text))]
+    paths = [p for p in _json_paths(doc)
+             if kind == 1 or isinstance(p[-1], str) == (kind == 0)]
+    *above, key = rng.choice(paths)
+    parent = doc
+    for step in above:
+        parent = parent[step]
+    if kind in (0, 2):
+        del parent[key]
+    elif kind == 1:
+        parent[key] = rng.choice(_JUNK)
+    else:
+        parent.insert(key, parent[key])
+    return json.dumps(doc)
+
+
+def _mutated_formula(rng, text):
+    """Formula text with one to three character edits, or truncated."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:at] + text[at + 1:]
+        elif kind == 1:
+            text = text[:at] + rng.choice(_FORMULA_CHARS) + text[at:]
+        elif kind == 2:
+            text = text[:at] + rng.choice(_FORMULA_CHARS) + text[at + 1:]
+        elif kind == 3:
+            text = text[:at] + text[at:at + rng.randint(1, 6)] * 2 + text[at + 6:]
+        else:
+            text = text[:at]
+    return text
+
+
+def _hostile_argvs(tmp_path):
+    rng = random.Random("hostile")
+    for name in ("two_masks", "one_mask"):
+        doc = json.loads((_FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+        probe = f"<{{a}}>{doc['atoms'][0]} | ~<{{a,b}}>false"
+        for k in range(60):
+            path = tmp_path / f"{name}-{k}.json"
+            path.write_text(_mutated_model(rng, doc), encoding="utf-8")
+            yield ("classify", "--model", str(path))
+            yield ("mc", "--model", str(path), "--state", "s0", "--formula", probe)
+    for k in range(80):
+        text = _mutated_formula(rng, rng.choice(_FORMULAS))
+        agents = ("--agents", "a,b") if k % 2 else ()
+        for command in ("parse", "nf", "valid", "sat", "depth"):
+            yield (command, *agents, "--formula", text)
+    counts = ("-1", "0", "1", "x")
+    for _ in range(10):
+        yield ("fuzz", "--agents", "a", "--formulas", rng.choice(counts),
+               "--samples", rng.choice(counts), "--scheme-models", rng.choice(counts))
+
+
+def test_hostile_inputs_end_in_an_exit_code_without_traceback(capsys, tmp_path):
+    # seeded mutants of the bundled models and of formula texts, and fuzz
+    # counts, through main: exit 0, 1 or 2; an exit of 1 prints one error line
+    codes = set()
+    for argv in _hostile_argvs(tmp_path):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import importlib.util
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +11,7 @@ from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
                  PointedModel, StandardFormula, atoms_of, bot,
                  build_countermodel_detailed, classify, decide_sat,
                  decide_valid, dumps, holds, hub_facts, implies, loads, lor,
-                 modal_depth, pair_implication, parse, pretty,
-                 to_standard_conjunction)
+                 modal_depth, parse, pretty, to_standard_conjunction)
 from mcl import decide, normalform, semantics
 from mcl.oracle import random_formula, random_propositional
 
@@ -393,7 +395,7 @@ def test_each_distinct_pair_goal_is_built_once(ab, monkeypatch):
     calls = []
     build = decide.pair_implication
     monkeypatch.setattr(decide, "pair_implication",
-                        lambda sf, i, j, *phi0: calls.append((i, j)) or build(sf, i, j, *phi0))
+                        lambda sf, i, j: calls.append((i, j)) or build(sf, i, j))
     counts = []
     for n in range(1, 8):
         calls.clear()
@@ -417,13 +419,14 @@ def test_the_decider_converts_clauses_up_to_the_first_refuted_one(ab, monkeypatc
 
 
 def test_the_decider_builds_each_pair_goal_as_pair_implication(ab, monkeypatch):
-    # _decide_clause hands its own phi_NI0 to pair_implication; the goal is
-    # the one built from the clause alone
+    # _decide_clause builds each goal it decides through pair_implication,
+    # only for pairs with A_i a subset of B_j, as (phi_NI0 & phi_i) -> psi_j
+    # with phi_NI0 the left fold of the empty-coalition negative goals
     built = []
     build = decide.pair_implication
 
-    def recorded(sf, i, j, *phi0):
-        goal = build(sf, i, j, *phi0)
+    def recorded(sf, i, j):
+        goal = build(sf, i, j)
         built.append((sf, i, j, goal))
         return goal
 
@@ -436,7 +439,10 @@ def test_the_decider_builds_each_pair_goal_as_pair_implication(ab, monkeypatch):
     assert len(built) > 200
     assert any(len(sf.ni) > 2 for sf, *_ in built)
     for sf, i, j, goal in built:
-        assert goal == pair_implication(sf, i, j)
+        assert sf.ni[i][0].members <= sf.pi[j][0].members
+        empties = [g for c, g in sf.ni if not c.members]
+        phi0 = functools.reduce(And, empties) if empties else TOP
+        assert goal == implies(And(phi0, sf.ni[i][1]), sf.pi[j][1])
 
 
 def test_pair_verdicts_depend_on_phi_ni0(ab):
@@ -539,10 +545,17 @@ def test_a_chain_reads_its_atoms_at_most_three_times(solo, monkeypatch):
     assert calls["atoms_of"] <= 3
 
 
+def _trace_bytes(trace):
+    return repr([(o.case, o.clause and o.clause.render(), o.pair, o.failed_pairs)
+                 for o in trace]).encode()
+
+
 def test_decisions_are_pinned():
     # verdicts, traces and normal forms of 3000 seeded formulas, pinned as
-    # one digest, and their countermodels and witnesses as another
-    decisions, models, count = hashlib.sha256(), hashlib.sha256(), 0
+    # one digest, their countermodels and witnesses as another, and the
+    # detailed countermodel of each refuted last clause as a third
+    decisions, models, detailed = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    count = refuted = 0
     for agents in ("a", "ab", "abc"):
         u = AgentUniverse(tuple(agents))
         rng = random.Random(f"pinned:{agents}")
@@ -551,8 +564,7 @@ def test_decisions_are_pinned():
             v, s = decide_valid(f, u), decide_sat(f, u)
             decisions.update(repr((v.valid, s.satisfiable)).encode())
             for trace in (v.trace, s.trace):
-                decisions.update(repr([(o.case, o.clause and o.clause.render(), o.pair,
-                                        o.failed_pairs) for o in trace]).encode())
+                decisions.update(_trace_bytes(trace))
             if modal_depth(f):
                 decisions.update(repr([c.render()
                                        for c in to_standard_conjunction(f, u)]).encode())
@@ -561,11 +573,56 @@ def test_decisions_are_pinned():
                     assert pm.model.atoms == tuple(sorted(atoms_of(f)))
                     models.update(f"{pm.state}\0{dumps(pm.model)}".encode())
                     count += 1
-    assert count == 5564
+            if v.trace[-1].case == "refuted":
+                pm, form = build_countermodel_detailed(v.trace[-1].clause, u)
+                detailed.update(f"{pm.state}\0{dumps(pm.model)}\0".encode())
+                if form is not None:
+                    rows = sorted((p.items, sorted(ts)) for p, ts in form.out0.items())
+                    detailed.update(repr((form.targets, rows)).encode())
+                refuted += 1
+    assert (count, refuted) == (5564, 2174)
     assert decisions.hexdigest() == \
         "8fff99b2a285f5078c46ab2b82f38a3d5e1d4c6956741bc8517c896783474abd"
     assert models.hexdigest() == \
         "d7c4a313b05395190c9e7204e03d3af45cd075340837fd25229628d96b495dd6"
+    assert detailed.hexdigest() == \
+        "0f9f0d8e3d494475f6022f8876e7bd4ebd5417b4220208643eb2b13ba87d3a48"
+
+
+# the decide-structured ladders of bench/workloads.py, timed and probe sizes
+_LADDER_SIZES = ({"nest": (25, 50, 75, 100, 150, 200, 250, 300),
+                  "neg": tuple(range(50, 450, 25)),
+                  "cnf": tuple(range(2, 11)),
+                  "weak": tuple(range(1, 8))},
+                 {"nest": (600, 1000), "neg": (600, 1000)})
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladders_are_pinned(ab):
+    # verdicts, traces and countermodels of the benchmark's ladders of
+    # seeds 0-3, pinned as one digest
+    inputs = _bench_inputs()
+    digest, invalid = hashlib.sha256(), 0
+    for seed in range(4):
+        for sizes in _LADDER_SIZES:
+            for item in inputs.seeded_ladder(seed, sizes):
+                v = decide_valid(parse(item["text"], ab), ab)
+                assert v.valid == item["valid"]
+                digest.update(repr(v.valid).encode() + _trace_bytes(v.trace))
+                if not v.valid:
+                    pm = v.countermodel
+                    digest.update(f"{pm.state}\0{dumps(pm.model)}".encode())
+                    invalid += 1
+    assert invalid == 76
+    assert digest.hexdigest() == \
+        "3962ecc5148f936297fcf6fc3a7c4f5a03ebdf7fd1e07d8affc7acd012133a73"
 
 
 def test_nested_countermodel_bytes_are_pinned():

@@ -88,19 +88,16 @@ def test_ni0_of_worked_example(ab):
     text = ("false | ((<{a}>p & <{b}>q & <{}>true) -> "
             "(<{a,b}>(p & q) | <{a}>(~p | q) | <{a,b}>false))")
     (sf,) = clauses_of(text, ab)
-    summary = ni0(sf)
-    assert summary.indices == (2,)
-    assert summary.phi == TOP
+    # only the padding <{}>true has the empty coalition
+    assert ni0(sf) == TOP
 
 
 def test_ni0_degenerate(ab):
     (sf,) = clauses_of("<{a}>p", ab)
-    assert ni0(sf).indices == ()
-    assert ni0(sf).phi == TOP
+    assert ni0(sf) == TOP
     sf2 = StandardFormula(
         ab, (), ((ab.empty, Atom("p")), (ab.empty, TOP)), ((ab.grand, bot()),))
-    assert ni0(sf2).indices == (0, 1)
-    assert ni0(sf2).phi == And(Atom("p"), TOP)
+    assert ni0(sf2) == And(Atom("p"), TOP)
 
 
 # -- gamma tautology -----------------------------------------------------------------
