@@ -2,12 +2,12 @@
 certified countermodels.
 
 A formula of modal depth 0 is valid exactly when it holds at every
-one-state model, so it is decided by model-checking the labellings of its
-atoms in binary-counter order, one dead-end state each, in models of 4,
-8, 16, ... up to 128 states.  The first labelling that refutes it labels
-the one-state countermodel.  Deeper formulas are normalized; their
-clauses are built and decided one by one, and the first refuted clause
-ends the decision.  A standard clause is valid exactly when
+one-state model.  Its labellings are checked in binary-counter order by
+the model checker's loop on truth tables, one bit per labelling, in blocks
+that double from 2^7 to 2^14 labellings (Knuth, TAOCP 4A, 7.1).  The first
+refuting labelling labels the one-state countermodel.  Deeper formulas are
+normalized; their clauses are built and decided one by one, and the first
+refuted clause ends the decision.  A standard clause is valid exactly when
 
   (a) its gamma part is a tautology, or
   (b) some negative entry <A_i>phi_i and positive entry <B_j>psi_j with
@@ -50,12 +50,11 @@ from dataclasses import dataclass
 # canonical_key, rename_disjoint and to_standard_conjunction stay imported,
 # unused: bench/spans.py patches them by these names in this module
 from .formula import (AgentUniverse, And, Can, Formula, Neg, atoms_of, canonical_key,
-                      coalitions_of, conj, implies, modal_depth)
-from .model import GameModel, JointAction, _chunks, rename_disjoint
+                      coalitions_of, conj, implies, modal_depth, subformulas)
+from .model import GameModel, JointAction, rename_disjoint
 from .normalform import (StandardFormula, gamma_is_tautology, ni0,
                          standard_clauses, to_standard_conjunction)
-from . import semantics
-from .semantics import PointedModel, holds
+from .semantics import PointedModel, _fold, holds
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,11 @@ _Decided = tuple[_Refutation | None, tuple[ClauseOutcome, ...]]
 # one decision's pair verdicts, by pair parts (phi_NI0, phi_i, psi_j)
 _Memo = dict[tuple[Formula, Formula, Formula], _Decided]
 _Step = Generator["_Step", _Decided, tuple]  # a decision step; see _run
+
+
+# depth-0 blocks double from 2^7 labellings to 2^14, fewer when a block's
+# columns (one per subformula) would pass 2^22 bits, but never below 2^7
+_MIN_LOG, _MAX_LOG, _BLOCK_BITS = 7, 14, 1 << 22
 
 
 class CertificationError(RuntimeError):
@@ -183,18 +187,20 @@ def _decide(f: Formula, universe: AgentUniverse, memo: _Memo) -> _Step:
 def _decide_propositional(f: Formula, universe: AgentUniverse) -> _Decided:
     names = tuple(sorted(atoms_of(f)))
     trace = (ClauseOutcome(None, "propositional"),)
-    for masks in _chunks(range(1 << len(names))):
-        labels = [frozenset(n for k, n in enumerate(names) if mask >> k & 1)
-                  for mask in masks]
-        # a dead-end state s<k> labelled labels[k] for each k
-        states = tuple(f"s{k}" for k in range(len(labels)))
-        model = GameModel(universe, names, ("idle",), states,
-                          dict(zip(states, labels)), {})
-        # through the module, so tracing that wraps eval_all sees this call
-        column = semantics.eval_all(model, f)
-        for state, label in zip(states, labels):
-            if not column[state]:
-                return _Refutation(label), trace
+    fit = min(_MAX_LOG, (_BLOCK_BITS // len(subformulas(f))).bit_length() - 1)
+    full, pattern, start = 1, [], 0  # bit m of pattern[k] is bit k of m
+    while start < 1 << len(names):  # bit m of a column: labelling start + m
+        while len(pattern) < min(len(names), max(_MIN_LOG, min(fit, start.bit_length() - 1))):
+            s = 1 << len(pattern)  # twice the labellings
+            pattern = [p | p << s for p in pattern] + [full << s]
+            full |= full << s
+        atoms = {n: full if start >> k & 1 else 0 for k, n in enumerate(names)}
+        atoms.update(zip(names, pattern))
+        zeros = full & ~_fold(f, full, atoms)
+        if zeros:  # the lowest refutes first in binary-counter order
+            mask = start | ((zeros & -zeros).bit_length() - 1)
+            return _Refutation(frozenset(n for k, n in enumerate(names) if mask >> k & 1)), trace
+        start += full.bit_length()
     return None, trace
 
 

@@ -23,7 +23,7 @@ never walks the profile space, and caches nothing on the model.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -69,48 +69,56 @@ def _column(model: GameModel, f: Formula, point: int | None = None) -> int:
     """The column of ``f``: exact at every state, or only at state ``point``."""
     check_compatible(model, f)
     states = model.states
-    full = (1 << len(states)) - 1
-    rows: _Rows = []  # one list per state, built at the first <A>
+    w = walk(f)
+    rows: _Rows = _outcome_masks(model) if w.coalitions else []  # one list per state
     groups: dict[frozenset[str], list[tuple[int, ...]]] = {}
-    subs, slots = subformulas(f), walk(f).slots
     needs = None  # per subformula, a mask of the states where the point's truth reads it
     if point is not None and len(states) > _LOCAL_MIN_STATES:
-        rows = _outcome_masks(model)
-        needs = [0] * (len(subs) - 1) + [1 << point]
-        for i in reversed(range(len(subs))):  # parents before children
-            (x, y), need = slots[i], needs[i]
+        needs = [0] * (len(w.slots) - 1) + [1 << point]
+        for i in reversed(range(len(w.slots))):  # parents before children
+            (x, y), need = w.slots[i], needs[i]
             if x < 0 or not need:
                 continue
-            if isinstance(subs[i], Can):  # the child, at every outcome
+            if isinstance(w.subformulas[i], Can):  # the child, at every outcome
                 need = 0
                 for k in _bits(needs[i]):
                     for _, mask in rows[k]:
                         need |= mask
             needs[x] |= need
             needs[y] |= need
+
+    def can(i: int, g: Can, child: int) -> int:
+        members = g.coalition.members
+        if members not in groups:
+            groups[members] = _group_masks(rows, model.universe, members)
+        outside, col, group = ~child, 0, groups[members]
+        for k, masks in (enumerate(group) if needs is None
+                         else ((k, group[k]) for k in _bits(needs[i]))):
+            for mask in masks:
+                if not mask & outside:
+                    col |= 1 << k
+                    break
+        return col
+
+    atoms = {a: sum(1 << k for k, s in enumerate(states) if a in model.label.get(s, ()))
+             for a in w.atoms}
+    return _fold(f, (1 << len(states)) - 1, atoms, can)
+
+
+def _fold(f: Formula, full: int, atoms: dict[str, int],
+          can: Callable[[int, Can, int], int] | None = None) -> int:
+    """The column of ``f`` over the bits of ``full``, given its atoms' columns; its
+    i-th subformula ``g = <A>phi`` (none at depth 0) gets ``can(i, g, phi's column)``."""
     cols: list[int] = []  # cols[i] is the column of subformula i
-    for g, (x, y) in zip(subs, slots):
+    for g, (x, y) in zip(subformulas(f), walk(f).slots):
         if isinstance(g, Neg):
             col = full & ~cols[x]
         elif isinstance(g, And):
             col = cols[x] & cols[y]
         elif isinstance(g, Can):
-            members = g.coalition.members
-            if members not in groups:
-                rows = rows or _outcome_masks(model)
-                groups[members] = _group_masks(rows, model.universe, members)
-            outside = ~cols[x]
-            col = 0
-            group = groups[members]  # this subformula is number len(cols)
-            for k, masks in (enumerate(group) if needs is None
-                             else ((k, group[k]) for k in _bits(needs[len(cols)]))):
-                for mask in masks:
-                    if not mask & outside:
-                        col |= 1 << k
-                        break
+            col = can(len(cols), g, cols[x])
         elif isinstance(g, Atom):
-            col = sum(1 << k for k, s in enumerate(states)
-                      if g.name in model.label.get(s, ()))
+            col = atoms[g.name]
         else:
             col = full
         cols.append(col)

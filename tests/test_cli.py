@@ -138,6 +138,29 @@ def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # --formula-file with bytes that are not UTF-8, or naming a directory
+    ("valid", "--agents", "a", "--formula-file", "LATIN1"),
+    ("valid", "--agents", "a", "--formula-file", "DIR"),
+    ("classify", "--model", "DIR"),
+    ("mc", "--model", "DIR", "--state", "s0", "--formula", "p"),
+    # an output path that is a directory, or under a missing directory
+    *((command, "--agents", "a", "--formula", "<{a}>p", flag, out)
+      for command, flag in (("valid", "--countermodel-out"), ("sat", "--witness-out"),
+                            ("countermodel", "--out"))
+      for out in ("DIR", "MISSING")),
+])
+def test_bad_files_and_paths_exit_1_without_traceback(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.mcl"
+    latin1.write_bytes("p | caf\xe9".encode("latin-1"))
+    paths = {"DIR": str(tmp_path), "LATIN1": str(latin1),
+             "MISSING": str(tmp_path / "missing" / "model.json")}
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 _PAIR_CHAIN = "<{a}>" * 1000 + "p"  # each <{a}> costs one pair reduction
 
 

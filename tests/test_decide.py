@@ -11,7 +11,8 @@ from mcl import (TOP, AgentUniverse, And, Atom, Can, GameModel, Neg,
                  PointedModel, StandardFormula, atoms_of, bot,
                  build_countermodel_detailed, classify, decide_sat,
                  decide_valid, dumps, holds, hub_facts, implies, loads, lor,
-                 modal_depth, parse, pretty, to_standard_conjunction)
+                 modal_depth, parse, pretty, subformulas,
+                 to_standard_conjunction)
 from mcl import decide, normalform, semantics
 from mcl.oracle import random_formula, random_propositional
 
@@ -178,11 +179,10 @@ def _one_state_per_labelling(f, universe):
     return None
 
 
-@pytest.mark.parametrize("mask", [0, 3, 4, 11, 12, 13, 300, 511])
+@pytest.mark.parametrize("mask", [0, 3, 4, 11, 12, 13, 127, 128, 255, 256, 300, 511])
 def test_depth_zero_refutation_matches_one_state_per_labelling(ab, mask):
     # false at exactly one labelling of p0..p8: at the start or end of the
-    # blocks 0-3 and 4-11, at the start of 12-27 or inside it, inside
-    # 252-507, or the very last one
+    # blocks 0-127, 128-255 and 256-511, or inside them
     lits = [f"p{k}" if mask >> k & 1 else f"~p{k}" for k in range(9)]
     f = parse("~(" + " & ".join(lits) + ")", ab)
     v = decide_valid(f, ab)
@@ -193,22 +193,36 @@ def test_depth_zero_refutation_matches_one_state_per_labelling(ab, mask):
     assert dumps(s.witness.model) == dumps(v.countermodel.model)
 
 
-def test_up_to_two_atoms_are_checked_in_one_model(ab, monkeypatch):
-    # all labellings share one model; test_propositional_verdicts_match_the_
-    # truth_table checks that the refuting one is still the first
-    sizes = []
-    check = semantics.eval_all
-    monkeypatch.setattr(semantics, "eval_all",
-                        lambda model, f: sizes.append(len(model.states)) or check(model, f))
-    atom_counts = set()
-    for k in range(200):
-        rng = random.Random(f"labellings:{k}")
-        f = random_propositional(rng, ("p", "q")[:rng.randint(1, 2)], rng.randint(1, 12))
-        sizes.clear()
-        decide._decide_propositional(f, ab)
-        assert sizes == [1 << len(atoms_of(f))]
-        atom_counts.add(len(atoms_of(f)))
-    assert atom_counts == {0, 1, 2}
+@pytest.mark.parametrize("atoms, mask, padding", [
+    (16, 1 << 14, 0),  # the first labelling past 2^14
+    (16, 0b1100_0000_0000_0101, 0),  # inside the last block
+    # 2000 more subformulas cap the blocks at 2^11 labellings
+    (12, 1 << 11 | 0b110, 2000),
+])
+def test_depth_zero_refutation_beyond_the_first_block(ab, atoms, mask, padding):
+    # false at exactly one labelling: number ``mask`` in binary-counter
+    # order, where bit k is the k-th atom by name (p0, p1, p10, ...)
+    names = sorted(f"p{k}" for k in range(atoms))
+    lits = [n if mask >> k & 1 else f"~{n}" for k, n in enumerate(names)]
+    f = parse("~(" + " & ".join(lits) + ") | " + "~" * padding + "(p0 & ~p0)", ab)
+    assert len(subformulas(f)) > padding
+    expected = frozenset(n for k, n in enumerate(names) if mask >> k & 1)
+    v = decide_valid(f, ab)
+    assert not v.valid and v.countermodel.model.label["s0"] == expected
+    s = decide_sat(Neg(f), ab)
+    assert s.satisfiable and s.witness.model.label["s0"] == expected
+
+
+def test_twenty_atom_implication_chains(solo):
+    # 2^20 labellings, in truth-table blocks of up to 2^14
+    chain = " & ".join(f"(p{k} -> p{k + 1})" for k in range(19))
+    assert valid(f"({chain}) -> (p0 -> p19)", solo).valid
+    assert valid(f"<{{a}}>({chain}) -> <{{a}}>(p0 -> p19)", solo).valid
+    # without p9 -> p10, only p0..p9 true refutes it
+    broken = chain.replace("(p9 -> p10) & ", "")
+    v = valid(f"({broken}) -> (p0 -> p19)", solo)
+    assert v.countermodel.model.label["s0"] == frozenset(f"p{k}" for k in range(10))
+    assert not valid(f"<{{a}}>({broken}) -> <{{a}}>(p0 -> p19)", solo).valid
 
 
 def test_depth_zero_valid_over_nine_atoms(ab):
