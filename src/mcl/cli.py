@@ -1,14 +1,14 @@
 """Command-line surface: one process per invocation, all state on disk.
 
 Exit status: 0 on success, 1 on semantic errors (bad formula or model,
-failed fuzz run, memory run out, or input nested too deeply: of the inputs
-tried, only ``fuzz --depth`` in the thousands reaches ``main``'s
-``RecursionError`` handler), 2 on usage errors, 3 on an internal error (a
-produced model failed its own model-checking certificate).  Errors print one ``error:`` or
-``internal error:`` line on standard error; the internal-error line ends
-with the input formula, whitespace collapsed.  ``--agents`` fixes the grand
-coalition and its canonical order for everything downstream; when omitted,
-it defaults to the agents the formula mentions.
+failed fuzz run, memory run out, or input nested too deeply), 2 on usage
+errors, 3 on an internal error (a produced model failed its own
+model-checking certificate).  Errors print one ``error:`` or ``internal
+error:`` line on standard error; the internal-error line ends with the
+input formula, whitespace collapsed, when the command reads a formula.
+``--agents`` fixes the grand coalition and its canonical order for
+everything downstream; when omitted, it defaults to the agents the formula
+mentions.
 
 Subcommands are declared in ``_COMMANDS``: name, handler, help text and
 argument specs in help order.  ``build_parser`` loops over that table, adds

@@ -156,10 +156,10 @@ def _refute(f: Formula, universe: AgentUniverse
     return _certified(node, universe, f, "countermodel does not refute the formula"), trace
 
 
-def _run(decision: _Step) -> tuple:
-    """The result of ``decision``, run on one explicit stack: the top step is
-    sent the last result, what it yields is pushed, and when it returns it is popped."""
-    stack, value = [decision], None
+def _run(step: Generator):
+    """The result of ``step`` (a decision or a formula draw) on one explicit stack: the top
+    step is sent the last result, what it yields is pushed, and when it returns it is popped."""
+    stack, value = [step], None
     while stack:
         try:
             stack.append(stack[-1].send(value))

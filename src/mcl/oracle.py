@@ -3,10 +3,10 @@
 The searcher is independent of the decision procedure: it enumerates (or
 samples) whole models within bounds and model-checks the candidate formula
 at every state.  The differential harness wires the two against each other:
-an "invalid" verdict must come with a certified countermodel, a "valid"
-verdict must survive the bounded search, and the classic axiom instances
-must fail only on models whose classification violates the matching
-property.  Everything is reproducible from the configured seed.
+a "valid" verdict must survive the bounded search, the decider itself
+certifies each countermodel once, and the classic axiom instances must fail
+only on models whose classification violates the matching property.
+Everything is reproducible from the configured seed.
 
 The search checks its models in chunks, each as one disjoint union with
 one ``eval_all``.  Truth is local: ``<A>phi`` at a state reads only that
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from .formula import (TOP, AgentUniverse, And, Atom, Can, Formula, Neg, bot,
@@ -27,7 +28,7 @@ from .formula import (TOP, AgentUniverse, And, Atom, Can, Formula, Neg, bot,
 from .model import (GameModel, _cgm_parts, _chunks, _disjoint_union, _gcgm_parts,
                     classify, dumps, full_profiles, random_cgm, random_model)
 from .semantics import PointedModel, eval_all
-from .decide import decide_valid
+from .decide import _run, decide_valid
 
 
 class BudgetExceededError(RuntimeError):
@@ -157,19 +158,25 @@ def random_propositional(rng: random.Random, atoms: tuple[str, ...],
 
 def random_formula(rng: random.Random, universe: AgentUniverse,
                    atoms: tuple[str, ...], depth: int, size: int = 8) -> Formula:
-    """A random core formula of exactly the given modal depth."""
-    if depth == 0:
-        return random_propositional(rng, atoms, size)
+    """A random core formula of exactly the given modal depth, drawn on the decider's stack."""
     if depth < 0:
         raise ValueError("modal depth must not be negative")
+    return _run(_draw(rng, universe, atoms, depth, size))
+
+
+def _draw(rng: random.Random, universe: AgentUniverse, atoms: tuple[str, ...],
+          depth: int, size: int) -> Generator:
+    """A ``random_formula`` step: it yields each operand's step and is sent the operand."""
+    if depth == 0:
+        return random_propositional(rng, atoms, size)
     roll = rng.random()
     if roll < 0.5 or size <= 2:
         coalition = universe.coalition(*[a for a in universe.agents if rng.random() < 0.5])
-        return Can(coalition, random_formula(rng, universe, atoms, depth - 1, size - 1))
+        return Can(coalition, (yield _draw(rng, universe, atoms, depth - 1, size - 1)))
     if roll < 0.65:
-        return Neg(random_formula(rng, universe, atoms, depth, size - 1))
-    deep = random_formula(rng, universe, atoms, depth, size // 2)
-    other = random_formula(rng, universe, atoms, rng.randint(0, depth), size // 2)
+        return Neg((yield _draw(rng, universe, atoms, depth, size - 1)))
+    deep = yield _draw(rng, universe, atoms, depth, size // 2)
+    other = yield _draw(rng, universe, atoms, rng.randint(0, depth), size // 2)
     a, b = (deep, other) if rng.random() < 0.5 else (other, deep)
     return rng.choice((And, lor, implies))(a, b)
 
@@ -276,17 +283,9 @@ def differential_run(config: DifferentialConfig) -> DifferentialReport:
                     detail="bounded search found a countermodel for a VALID verdict",
                     seed=config.bounds.seed, model_json=dumps(found.model),
                     state=found.state))
-        else:
+        else:  # decide_valid raised CertificationError unless holds refuted f
             report.invalid_count += 1
-            pm = verdict.countermodel
-            # re-checks the decider's certificate (holds, from the point) globally
-            if eval_all(pm.model, f)[pm.state]:
-                report.discrepancies.append(Discrepancy(
-                    kind="invalid-uncertified", formula=pretty(f),
-                    detail="countermodel does not refute the formula",
-                    seed=config.bounds.seed, model_json=dumps(pm.model), state=pm.state))
-            else:
-                report.certified_countermodels += 1
+            report.certified_countermodels += 1
 
     if config.scheme_models:
         _scheme_separation(config, report)

@@ -117,8 +117,6 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # oracle.random_formula recurses once per level of --depth
-    ("fuzz", "--agents", "a", "--depth", "3000", "--formulas", "1"),
     # deep parentheses with one closer missing
     ("parse", "--agents", "a", "--formula", "(" * 3000 + "p" + ")" * 2999),
     # fuzz configurations that cannot generate a formula
@@ -252,6 +250,15 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     assert err.rstrip().endswith("(formula: <{a}>p)")
 
 
+def test_fuzz_certification_failure_exits_3(capsys, monkeypatch):
+    # the decider's certificate is the fuzz run's only countermodel check;
+    # fuzz reads no formula, so the line names none
+    monkeypatch.setattr(mcl.decide, "holds", lambda pm, f: True)
+    code, out, err = run(capsys, "fuzz", "--agents", "a,b", "--formulas", "3")
+    assert (code, out) == (3, "")
+    assert err == "internal error: countermodel does not refute the formula\n"
+
+
 def test_out_of_memory_exits_1_without_traceback(capsys, monkeypatch):
     def exhausted(f, universe):
         raise MemoryError
@@ -313,6 +320,15 @@ def test_deep_fuzz_formula_is_decided_and_certified(capsys):
     payload = json.loads(out)
     assert payload["formulas_checked"] == 1
     assert payload["discrepancies"] == []
+
+
+def test_deep_fuzz_formulas_are_drawn_on_the_stack(capsys):
+    # random_formula draws one step per level on the decider's stack, and
+    # the countermodel (4750 states) is model-checked once, from the point
+    code, out, _ = run(capsys, "fuzz", "--agents", "a", "--depth", "3000",
+                       "--formulas", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["discrepancies"] == []
 
 
 def test_agents_default_to_those_mentioned(capsys):

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from mcl import (EMPTY_ACTION, TOP, AgentUniverse, And, Atom, Can, GameModel,
-                 JointAction, Neg, PointedModel, Top, box, dia, dual, ensures, eval_all,
-                 holds, implies, lor, modal_depth, parse, random_cgm,
-                 random_formula, random_model)
+                 JointAction, Neg, PointedModel, Top, box, decide_sat, decide_valid, dia,
+                 dual, ensures, eval_all, holds, implies, lor, modal_depth, parse,
+                 random_cgm, random_formula, random_model)
 from mcl import semantics
 from mcl.formula import Formula, subformulas, walk
 
@@ -271,6 +271,21 @@ def test_holds_from_the_point_agrees_with_eval_all(monkeypatch):
         assert {s: holds(PointedModel(m, s), f) for s in m.states} == column
         dead_ends += any(not m.canonical_rows(s) for s in m.states)
     assert dead_ends >= 400
+    # decider-built models of over 64 states: the witness of <{a}>^100 p,
+    # and the countermodel of the formula `mcl fuzz --agents a --depth 3000`
+    # draws first
+    solo = AgentUniverse(("a",))
+    f = parse("<{a}>" * 100 + "p", solo)
+    witness = decide_sat(f, solo).witness.model
+    rng = random.Random(0)  # the fuzz run's seed, drawn as differential_run does
+    g = random_formula(rng, solo, ("p", "q"), rng.randint(1, 3000))
+    countermodel = decide_valid(g, solo).countermodel.model
+    assert (len(witness.states), len(countermodel.states)) == (102, 4750)
+    for m, h, states in ((witness, f, witness.states),
+                         (countermodel, g, countermodel.states[::250])):
+        column = eval_all(m, h)
+        assert {s: holds(PointedModel(m, s), h) for s in states} == \
+            {s: column[s] for s in states}
 
 
 # -- semantic laws on sampled models ----------------------------------------------------
