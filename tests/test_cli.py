@@ -128,6 +128,8 @@ def test_semantic_errors_exit_1(capsys, tmp_path):
     ("fuzz", "--agents", "a", "--formulas", "-2"),
     ("fuzz", "--agents", "a", "--formulas", "1", "--samples", "-1"),
     ("fuzz", "--agents", "a", "--scheme-models", "-3"),
+    # a deep chain of modalities with no operand
+    ("valid", "--agents", "a", "--formula", "<{a}>" * 3000),
 ])
 def test_deep_nesting_exits_1_without_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
